@@ -52,15 +52,10 @@ type benchExperiment struct {
 // committed as a BENCH_*.json trajectory point, with the same measurements
 // taken on the predecessor commit (see docs/PERF.md).
 type benchReport struct {
-	Schema string `json:"schema"`
-	Go     string `json:"go"`
-	Scale  string `json:"scale"`
-	Jobs   int    `json:"jobs"`
-	// Shards/Batch are the -shards / -batch values of a sharded or
-	// lane-batched invocation; omitted for serial runs so historical serial
-	// reports keep their exact shape.
-	Shards      int               `json:"shards,omitempty"`
-	Batch       int               `json:"batch,omitempty"`
+	Schema      string            `json:"schema"`
+	Go          string            `json:"go"`
+	Scale       string            `json:"scale"`
+	Jobs        int               `json:"jobs"`
 	Experiments []benchExperiment `json:"experiments"`
 	Total       benchExperiment   `json:"total"`
 	// PeakHeapBytes is the heap footprint the run reached: HeapSys (bytes
@@ -104,24 +99,6 @@ func benchDelta(id string, wall time.Duration, pre, post benchCounters) benchExp
 	return e
 }
 
-// benchID labels a -benchjson experiment row. Sharded invocations get a
-// "#shards=N" suffix and lane-batched invocations a "#batch=N" suffix (an
-// invocation using both stacks them) so their rows form separate benchmark
-// series: the suffix keeps them from colliding with the serial series a
-// committed BENCH_*.json baseline pins, and cmd/benchdiff renders suffixed
-// IDs as informational — compared when the baseline has the matching series
-// (or, failing that, against the serial row of the same experiment) but
-// never a regression failure.
-func benchID(id string, shards, batch int) string {
-	if shards > 1 {
-		id = fmt.Sprintf("%s#shards=%d", id, shards)
-	}
-	if batch > 1 {
-		id = fmt.Sprintf("%s#batch=%d", id, batch)
-	}
-	return id
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -134,15 +111,13 @@ func run() int {
 		wls     = flag.String("workloads", "", "comma-separated workload subset")
 		seed    = flag.Uint64("seed", 1, "seed")
 		jobs    = flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		shards  = flag.Int("shards", 1, "intra-simulation shard goroutines per job (1 = serial; results are byte-identical at any value, so it composes with -resume and the result cache)")
-		batch   = flag.Int("batch", 1, "lane-batch width: the pool groups this many pending seeds of one configuration into a single machine run (1 = serial; per-seed results are byte-identical at any value)")
 		quiet   = flag.Bool("quiet", false, "suppress the stderr progress line")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		listPl  = flag.Bool("list-plugins", false, "list registered trackers, policies and fault injectors and exit")
 		resume  = flag.String("resume", "", "JSON-lines checkpoint file: preload completed jobs from it and append new ones")
 		timeout = flag.Duration("timeout", 0, "per-job wall-clock limit (0 = none); an expired job renders as ERR")
 		workURL = flag.String("worker", "", "run as a distributed sweep worker for the autorfm-coord at this URL instead of driving experiments")
-		flight  = flag.Bool("flight", false, "worker mode: arm the failure flight recorder — each job runs with bounded forensic probes and a dying job ships a crash snapshot with its result (supersedes -metrics instrumentation, disables -batch grouping)")
+		flight  = flag.Bool("flight", false, "worker mode: arm the failure flight recorder — each job runs with bounded forensic probes and a dying job ships a crash snapshot with its result (supersedes -metrics instrumentation)")
 		report  = flag.String("report", "", "write the experiment tables to this file (deterministic bytes; compare against autorfm-coord -report)")
 
 		chaos     = flag.Float64("chaos", 0, "chaos probability: each job independently panics with this probability (engine stress test)")
@@ -219,8 +194,6 @@ func run() int {
 		sc.Workloads = strings.Split(*wls, ",")
 	}
 	sc.Seed = *seed
-	sc.Shards = *shards
-	sc.Batch = *batch
 	if err := sc.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -419,7 +392,7 @@ func run() int {
 			failed++
 			continue
 		}
-		benchRows = append(benchRows, benchDelta(benchID(e.ID, *shards, *batch), time.Since(start), pre, readBenchCounters(pool)))
+		benchRows = append(benchRows, benchDelta(e.ID, time.Since(start), pre, readBenchCounters(pool)))
 		fmt.Println(res)
 		fmt.Printf("(%s regenerated in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if rep != nil {
@@ -453,14 +426,8 @@ func run() int {
 			Scale:         *scale,
 			Jobs:          pool.Workers(),
 			Experiments:   benchRows,
-			Total:         benchDelta(benchID("total", *shards, *batch), time.Since(benchStart), benchPre, readBenchCounters(pool)),
+			Total:         benchDelta("total", time.Since(benchStart), benchPre, readBenchCounters(pool)),
 			PeakHeapBytes: ms.HeapSys,
-		}
-		if *shards > 1 {
-			rep.Shards = *shards // serial reports keep their historical shape
-		}
-		if *batch > 1 {
-			rep.Batch = *batch
 		}
 		rep.TotalEventsPerSec = rep.Total.EventsPerSec
 		buf, err := json.MarshalIndent(rep, "", "  ")

@@ -10,6 +10,7 @@
 //	autorfm-sim -replay trace.arfm -mech autorfm   # drive the sim with it
 //	autorfm-sim -tracker "mithril(entries=2048)" -faults "act-miss(p=0.01)"
 //	autorfm-sim -workload bwaves -store results.jsonl  # shared memo store
+//	autorfm-sim -workload mcf -seeds 5             # mean ± sd over seeds 1..5
 //	autorfm-sim -list
 //	autorfm-sim -list-plugins
 package main

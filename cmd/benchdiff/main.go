@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"autorfm/internal/fault"
@@ -31,35 +30,6 @@ type report struct {
 var knownSchemas = map[string]bool{
 	"autorfm-bench/v1": true,
 	"autorfm-bench/v2": true,
-}
-
-// seriesBase splits the "#shards=N" / "#batch=N" suffixes autorfm-bench
-// stamps on the rows of a sharded or lane-batched invocation (e.g.
-// "fig3#shards=4" → "fig3", "sharded"; "fig3#batch=4" → "fig3", "batched";
-// an invocation using both stacks the suffixes → "sharded+batched"). Rows
-// with a non-empty kind form informational series: they are compared —
-// against the baseline's matching series when it has one, else against the
-// serial row of the same experiment — but never fail the diff, and they
-// never consume a serial baseline row, so committed serial baselines keep
-// gating the serial series exactly as before. An unrecognized "#..." suffix
-// stays part of the gated id.
-func seriesBase(id string) (base, kind string) {
-	i := strings.IndexByte(id, '#')
-	if i < 0 {
-		return id, ""
-	}
-	suffix := id[i:]
-	var kinds []string
-	if strings.Contains(suffix, "#shards=") {
-		kinds = append(kinds, "sharded")
-	}
-	if strings.Contains(suffix, "#batch=") {
-		kinds = append(kinds, "batched")
-	}
-	if len(kinds) == 0 {
-		return id, ""
-	}
-	return id[:i], strings.Join(kinds, "+")
 }
 
 func load(path string) (*report, error) {
@@ -108,58 +78,30 @@ func main() {
 }
 
 // diff renders the per-experiment comparison to w and reports whether any
-// gated (serial) series regressed beyond tolerance. Sharded and batched rows
-// — IDs with a "#shards=N" or "#batch=N" suffix — are informational:
-// displayed with their delta but never a failure, and never consuming the
-// serial baseline row they may fall back to.
+// experiment regressed beyond tolerance.
 func diff(w io.Writer, base, fresh *report, tolerance float64, minWall time.Duration) (failed bool) {
-	// baseline is consumed as rows match (leftovers report "only in
-	// baseline"); every lookup the sharded fallback makes goes through the
-	// immutable copy, since the serial row it falls back to has usually
-	// already been matched — and consumed — by the fresh serial row.
 	baseline := make(map[string]int64, len(base.Experiments))
 	for _, e := range base.Experiments {
 		baseline[e.ID] = e.WallNS
 	}
-	immutable := make(map[string]int64, len(baseline))
-	for id, ns := range baseline {
-		immutable[id] = ns
-	}
 
 	fmt.Fprintf(w, "%-16s %14s %14s %9s\n", "exp", "base(ms)", "fresh(ms)", "delta")
 	for _, e := range fresh.Experiments {
-		baseID, kind := seriesBase(e.ID)
-		informational := kind != ""
 		bNS, ok := baseline[e.ID]
-		mark := ""
-		switch {
-		case ok:
-			delete(baseline, e.ID)
-			if informational {
-				mark = "  (" + kind + ")"
-			}
-		case informational:
-			// No committed series of this kind: fall back, informationally,
-			// to the serial row of the same experiment — without consuming
-			// it, so the fresh serial row still gets its gated comparison.
-			if bNS, ok = immutable[baseID]; ok {
-				mark = "  (" + kind + " vs serial)"
-			}
-		}
 		if !ok {
 			fmt.Fprintf(w, "%-16s %14s %14.3f %9s\n", e.ID, "-", float64(e.WallNS)/1e6, "new")
 			continue
 		}
+		delete(baseline, e.ID)
 		delta := float64(e.WallNS-bNS) / float64(bNS)
-		if !informational {
-			switch {
-			case delta <= tolerance:
-			case bNS < minWall.Nanoseconds() && e.WallNS < minWall.Nanoseconds():
-				mark = "  (noise)"
-			default:
-				mark = "  REGRESSED"
-				failed = true
-			}
+		mark := ""
+		switch {
+		case delta <= tolerance:
+		case bNS < minWall.Nanoseconds() && e.WallNS < minWall.Nanoseconds():
+			mark = "  (noise)"
+		default:
+			mark = "  REGRESSED"
+			failed = true
 		}
 		fmt.Fprintf(w, "%-16s %14.3f %14.3f %+8.1f%%%s\n", e.ID, float64(bNS)/1e6, float64(e.WallNS)/1e6, 100*delta, mark)
 	}

@@ -6,93 +6,41 @@ import (
 	"time"
 )
 
-func TestSeriesBase(t *testing.T) {
-	cases := []struct {
-		id   string
-		base string
-		kind string
-	}{
-		{"fig3", "fig3", ""},
-		{"fig3#shards=4", "fig3", "sharded"},
-		{"total#shards=2", "total", "sharded"},
-		{"weird#shards=", "weird", "sharded"},
-		{"fig3#batch=4", "fig3", "batched"},
-		{"total#batch=2", "total", "batched"},
-		{"fig3#shards=2#batch=4", "fig3", "sharded+batched"},
-		{"odd#mystery=1", "odd#mystery=1", ""},
-	}
-	for _, c := range cases {
-		base, kind := seriesBase(c.id)
-		if base != c.base || kind != c.kind {
-			t.Errorf("seriesBase(%q) = (%q, %q), want (%q, %q)",
-				c.id, base, kind, c.base, c.kind)
-		}
-	}
-}
-
-// TestDiffShardedSeriesInformational pins the satellite contract: sharded
-// rows are compared — exact series first, serial fallback otherwise — but a
-// sharded slowdown never fails the diff, and the sharded fallback does not
-// consume the serial baseline row the serial series is gated against.
-func TestDiffShardedSeriesInformational(t *testing.T) {
+// TestDiffGate pins the wall-time gate: a regression within tolerance
+// passes, one beyond it fails, sub-min-wall rows are noise, and rows present
+// in only one report are listed but never fail the diff.
+func TestDiffGate(t *testing.T) {
 	ms := int64(time.Millisecond)
 	base := &report{Experiments: []experiment{
 		{ID: "fig3", WallNS: 1000 * ms},
-		{ID: "tab5#shards=4", WallNS: 400 * ms},
+		{ID: "appb", WallNS: 10 * ms},
+		{ID: "gone", WallNS: 100 * ms},
 	}}
 	fresh := &report{Experiments: []experiment{
-		{ID: "fig3", WallNS: 1100 * ms},          // +10%: within tolerance
-		{ID: "fig3#shards=4", WallNS: 5000 * ms}, // vs serial, 5x slower: informational
-		{ID: "tab5#shards=4", WallNS: 900 * ms},  // vs its own series, 2x: informational
-		{ID: "appb#shards=2", WallNS: 10 * ms},   // no baseline at all: new
+		{ID: "fig3", WallNS: 1100 * ms}, // +10%: within tolerance
+		{ID: "appb", WallNS: 40 * ms},   // 4x, but both below -min-wall
+		{ID: "tab5", WallNS: 500 * ms},  // no baseline row
 	}}
 	var out strings.Builder
 	if diff(&out, base, fresh, 0.25, 50*time.Millisecond) {
-		t.Fatalf("sharded slowdowns failed the diff:\n%s", out.String())
+		t.Fatalf("in-tolerance diff failed:\n%s", out.String())
 	}
 	s := out.String()
-	for _, want := range []string{"(sharded vs serial)", "(sharded)", "new"} {
+	for _, want := range []string{"(noise)", "new", "gone", "only in baseline"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
 	}
-	if strings.Contains(s, "REGRESSED") || strings.Contains(s, "only in baseline") {
-		t.Errorf("sharded rows mis-gated or serial baseline consumed:\n%s", s)
+	if strings.Contains(s, "REGRESSED") {
+		t.Errorf("in-tolerance rows marked as regressions:\n%s", s)
 	}
 
-	// The serial gate still works: the same serial regression fails.
 	fresh.Experiments[0].WallNS = 2000 * ms
 	out.Reset()
 	if !diff(&out, base, fresh, 0.25, 50*time.Millisecond) {
-		t.Fatalf("serial regression not flagged:\n%s", out.String())
+		t.Fatalf("2x regression not flagged:\n%s", out.String())
 	}
-}
-
-// TestDiffBatchedSeriesInformational mirrors the sharded-series contract for
-// the "#batch=N" series a lane-batched autorfm-bench invocation stamps.
-func TestDiffBatchedSeriesInformational(t *testing.T) {
-	ms := int64(time.Millisecond)
-	base := &report{Experiments: []experiment{
-		{ID: "fig3", WallNS: 1000 * ms},
-		{ID: "tab5#batch=4", WallNS: 400 * ms},
-	}}
-	fresh := &report{Experiments: []experiment{
-		{ID: "fig3", WallNS: 1000 * ms},
-		{ID: "fig3#batch=4", WallNS: 5000 * ms},          // serial fallback, slower: informational
-		{ID: "tab5#batch=4", WallNS: 900 * ms},           // vs its own series: informational
-		{ID: "fig3#shards=2#batch=4", WallNS: 5000 * ms}, // stacked series, serial fallback
-	}}
-	var out strings.Builder
-	if diff(&out, base, fresh, 0.25, 50*time.Millisecond) {
-		t.Fatalf("batched slowdowns failed the diff:\n%s", out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"(batched vs serial)", "(batched)", "(sharded+batched vs serial)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	if strings.Contains(s, "REGRESSED") || strings.Contains(s, "only in baseline") {
-		t.Errorf("batched rows mis-gated or serial baseline consumed:\n%s", s)
+	if !strings.Contains(out.String(), "REGRESSED") {
+		t.Errorf("regressed row not marked:\n%s", out.String())
 	}
 }

@@ -1,9 +1,6 @@
 package cache
 
 import (
-	"math/bits"
-	"sync"
-
 	"autorfm/internal/clk"
 	"autorfm/internal/event"
 	"autorfm/internal/memctrl"
@@ -85,12 +82,8 @@ type Cache struct {
 	mc      *memctrl.Controller
 	q       *event.Queue
 	tick    uint64
-	// stale marks the way arrays as still holding a previous run's state:
-	// ResetForWarm defers the full wipe to the WarmAll that follows it (see
-	// warmFresh), and WarmAll's non-covering paths pay it on entry.
-	stale bool
-	out   mshrTable
-	freeM *mshr
+	out     mshrTable
+	freeM   *mshr
 
 	// Stream-detector state: the set of recent demand-miss lines, bounded
 	// by a FIFO ring. A miss to L with L-1 or L-2 recently missed is
@@ -211,16 +204,8 @@ func (c *Cache) lookup(line uint64) bool {
 // cache to its steady-state occupancy before measurement (short simulation
 // slices would otherwise see no capacity evictions and no writebacks).
 func (c *Cache) Warm(line uint64, dirty bool) {
-	c.tick++
-	c.warmAt(line, dirty, c.tick)
-}
-
-// warmAt installs line with an explicit LRU stamp. It touches only line's
-// set, which is what makes WarmBatch's set-partitioned parallel warm both
-// race-free and byte-identical to the serial loop: the stamp of warm i is
-// always i+1 regardless of which goroutine applies it.
-func (c *Cache) warmAt(line uint64, dirty bool, tick uint64) {
 	base := int(line&c.setMask) * c.ways
+	c.tick++
 	// One pass: stop at the first free way or duplicate (in way order, as
 	// installation always has), tracking the LRU victim for the full-set
 	// case along the way. Warming touches every line slot of the cache, so
@@ -236,332 +221,8 @@ func (c *Cache) warmAt(line uint64, dirty bool, tick uint64) {
 		}
 	}
 	c.tags[victim] = line
-	c.lru[victim] = tick
+	c.lru[victim] = c.tick
 	c.dirty[victim] = dirty
-}
-
-// WarmBatch warms lines[i] (dirty[i]) for all i, exactly as len(lines)
-// successive Warm calls would, spreading the work over workers goroutines.
-// The cache is partitioned by set: each worker owns a contiguous range of
-// sets and applies, in input order, exactly the entries that map to its
-// range, with the LRU stamp the serial loop would have used (i+1). Sets are
-// disjoint across workers and warming touches nothing but the addressed
-// set, so the result is byte-identical to serial warming at any GOMAXPROCS
-// (pinned by TestWarmBatchMatchesSerial).
-func (c *Cache) WarmBatch(lines []uint64, dirty []bool, workers int) {
-	if len(lines) != len(dirty) {
-		panic("cache: WarmBatch lines/dirty length mismatch")
-	}
-	numSets := int(c.setMask) + 1
-	if workers > numSets {
-		workers = numSets
-	}
-	if workers <= 1 {
-		for i, line := range lines {
-			c.tick++
-			c.warmAt(line, dirty[i], c.tick)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		lo := uint64(w * numSets / workers)
-		hi := uint64((w + 1) * numSets / workers)
-		go func() {
-			defer wg.Done()
-			for i, line := range lines {
-				if s := line & c.setMask; s >= lo && s < hi {
-					c.warmAt(line, dirty[i], uint64(i)+c.tick+1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	c.tick += uint64(len(lines))
-}
-
-// WarmPlan is the reusable scratch a set-major WarmAll pass works in: the
-// per-set bucket boundaries and the entry permutation. One plan serves any
-// number of WarmAll calls (across caches and lane batches); its arrays grow
-// to the largest warm it has applied and are then reused allocation-free.
-type WarmPlan struct {
-	starts []int32   // starts[s]..starts[s+1] bounds set s's entries in order
-	ents   []warmEnt // entries, grouped by set, input order within a set
-	next   []int32   // scatter cursor, one per set
-
-	// warmFresh (the packed two-level radix path) scratch: coarse bucket
-	// bounds and cursors, the packed entry permutation, and the per-bucket
-	// second-level bounds/cursors/entries. The second-level arrays are
-	// bucket-sized, so the whole level-2 partition runs in L1.
-	coarse    []int32
-	cur       []int32
-	packed    []uint64
-	setStarts []int32
-	setCur    []int32
-	setBuf    []uint64
-}
-
-// warmEnt is one planned warm: the line, its input position i (the stamp is
-// tick+i+1, and per-set input order is i order), and the dirty bit.
-type warmEnt struct {
-	line  uint64
-	idx   int32
-	dirty bool
-}
-
-// WarmAll installs lines[i] (dirty[i]) for all i, leaving state equivalent
-// to len(lines) successive Warm calls: the same lines survive in each set
-// with the same LRU stamps and dirty bits, and the final tick matches
-// (pinned by TestWarmAllMatchesSerial). Surviving lines may sit in
-// different ways within their set than the serial replay would leave them,
-// which no cache observable depends on — hits scan every way, and
-// replacement compares stamps, which are unique (TestWarmAllEquivalent
-// pins the behavioral equivalence). Unlike the serial loop, which
-// hops to a random set per entry and pays a cache miss on nearly every
-// warmAt, WarmAll buckets the entries by set first and then applies them
-// set-major: each set's tag/LRU/dirty lines are touched once, stay resident
-// while its handful of entries apply, and the sweep over sets is sequential.
-// This is the lane-batching prewarm path (docs/PERF.md "PR 9"): the plan's
-// scratch is shared across a batch's lanes, and the set-major apply is what
-// makes B prewarms per batched run affordable.
-func (c *Cache) WarmAll(lines []uint64, dirty []bool, plan *WarmPlan) {
-	if len(lines) != len(dirty) {
-		panic("cache: WarmAll lines/dirty length mismatch")
-	}
-	numSets := int(c.setMask) + 1
-	if c.tick == 0 && numSets >= warmCoarse && len(lines) <= 1<<24 {
-		// The packed path needs every line to fit its 39 bit field; one OR
-		// over the input checks all of them at streaming speed.
-		var orAll uint64
-		for _, line := range lines {
-			orAll |= line
-		}
-		if orAll < 1<<39 {
-			c.warmFresh(lines, dirty, plan)
-			return
-		}
-	}
-	if c.stale {
-		// ResetForWarm deferred the array wipe betting on warmFresh covering
-		// every way; this fallback path patches only what it installs, so it
-		// must pay the wipe now.
-		c.wipeArrays()
-	}
-	if cap(plan.starts) < numSets+1 {
-		plan.starts = make([]int32, numSets+1)
-		plan.next = make([]int32, numSets)
-	}
-	starts := plan.starts[:numSets+1]
-	next := plan.next[:numSets]
-	for i := range starts {
-		starts[i] = 0
-	}
-	if cap(plan.ents) < len(lines) {
-		plan.ents = make([]warmEnt, len(lines))
-	}
-	ents := plan.ents[:len(lines)]
-
-	// Counting sort by set: count, prefix-sum, scatter. The scatter is the
-	// only random-access pass, and it writes one 16-byte entry per warm
-	// instead of read-modify-writing warmAt's several lines of tag/LRU
-	// state; the apply below then reads the plan strictly sequentially.
-	for _, line := range lines {
-		starts[line&c.setMask+1]++
-	}
-	for s := 0; s < numSets; s++ {
-		starts[s+1] += starts[s]
-		next[s] = starts[s]
-	}
-	for i, line := range lines {
-		s := line & c.setMask
-		ents[next[s]] = warmEnt{line: line, idx: int32(i), dirty: dirty[i]}
-		next[s]++
-	}
-
-	// Set-major apply with the serial stamps: warm i always lands with
-	// stamp tick+i+1, and a set's entries apply in input order, which is
-	// all warmAt's outcome depends on (it touches only the addressed set).
-	base := c.tick
-	if base == 0 {
-		// Empty cache (fresh or Reset — the prewarm case): LRU warming of
-		// an empty set leaves exactly the last `ways` distinct lines
-		// touched, each with the stamp and dirty bit of its last touch, so
-		// a single backward scan per set installs the final state directly
-		// instead of replaying every eviction through warmAt. Lines land in
-		// different ways than the serial replay would pick, which is
-		// unobservable: hits scan every way, and replacement decisions
-		// compare stamps, which are unique (see TestWarmAllEquivalent).
-		for s := 0; s < numSets; s++ {
-			lo, hi := starts[s], starts[s+1]
-			if lo == hi {
-				continue
-			}
-			bws := s * c.ways
-			n := 0
-			for k := hi - 1; k >= lo; k-- {
-				e := &ents[k]
-				dup := false
-				for w := 0; w < n; w++ {
-					if c.tags[bws+w] == e.line {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				c.tags[bws+n] = e.line
-				c.lru[bws+n] = uint64(e.idx) + 1
-				c.dirty[bws+n] = e.dirty
-				n++
-				if n == c.ways {
-					break // everything earlier in the set was evicted
-				}
-			}
-		}
-	} else {
-		for k := range ents {
-			e := &ents[k]
-			c.warmAt(e.line, e.dirty, base+uint64(e.idx)+1)
-		}
-	}
-	c.tick = base + uint64(len(lines))
-}
-
-// warmCoarse is warmFresh's first-level radix width. 256 write streams keep
-// every stream head L1-resident during the scatter, and each second-level
-// bucket (numSets/256 sets) is small enough to partition entirely in cache.
-const warmCoarse = 256
-
-// warmFresh is WarmAll's empty-cache path (fresh or ResetForWarm — the
-// batched-lane prewarm): LRU warming of an empty set leaves exactly the last
-// `ways` distinct lines touched, each with the stamp and dirty bit of its
-// last touch, so per set a single backward scan installs the final state
-// directly instead of replaying every eviction through warmAt. Lines land in
-// different ways than the serial replay would pick, which is unobservable:
-// hits scan every way, and replacement decisions compare stamps, which are
-// unique (see TestWarmAllEquivalent).
-//
-// Entries are packed into one word each — line<<25 | idx<<1 | dirty — and
-// partitioned set-major in two radix levels, so every pass is either a
-// sequential stream or an L1-resident scatter. The apply clears the ways it
-// does not install, leaving every set exactly as a full Reset plus warm
-// would, which is what lets ResetForWarm skip its array wipe.
-func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
-	numSets := int(c.setMask) + 1
-	spc := numSets / warmCoarse // sets per coarse bucket; both powers of two
-	shift := uint(bits.TrailingZeros(uint(spc)))
-	setShift := uint(bits.TrailingZeros(uint(numSets)))
-	if cap(plan.coarse) < warmCoarse+1 {
-		plan.coarse = make([]int32, warmCoarse+1)
-		plan.cur = make([]int32, warmCoarse)
-		plan.setStarts = make([]int32, spc+1)
-		plan.setCur = make([]int32, spc)
-	}
-	coarse := plan.coarse[:warmCoarse+1]
-	cur := plan.cur[:warmCoarse]
-	setStarts := plan.setStarts[:spc+1]
-	setCur := plan.setCur[:spc]
-	for i := range coarse {
-		coarse[i] = 0
-	}
-	if cap(plan.packed) < len(lines) {
-		plan.packed = make([]uint64, len(lines))
-	}
-	packed := plan.packed[:len(lines)]
-
-	// Level 1: count, prefix-sum, scatter packed entries into coarse
-	// buckets. Buckets cover contiguous set ranges, so the apply below walks
-	// the tag/LRU/dirty arrays strictly forward.
-	for _, line := range lines {
-		coarse[(line&c.setMask)>>shift+1]++
-	}
-	maxBucket := int32(0)
-	for b := 0; b < warmCoarse; b++ {
-		if coarse[b+1] > maxBucket {
-			maxBucket = coarse[b+1]
-		}
-		coarse[b+1] += coarse[b]
-		cur[b] = coarse[b]
-	}
-	for i, line := range lines {
-		b := (line & c.setMask) >> shift
-		p := line<<25 | uint64(i)<<1
-		if dirty[i] {
-			p |= 1
-		}
-		packed[cur[b]] = p
-		cur[b]++
-	}
-	if cap(plan.setBuf) < int(maxBucket) {
-		plan.setBuf = make([]uint64, maxBucket)
-	}
-
-	// Level 2, per coarse bucket: partition the bucket's entries by set
-	// (everything here fits in L1), then install each set's last `ways`
-	// distinct lines by backward scan and clear the ways left over.
-	for b := 0; b < warmCoarse; b++ {
-		ents := packed[coarse[b]:coarse[b+1]]
-		baseSet := b * spc
-		for i := range setStarts {
-			setStarts[i] = 0
-		}
-		for _, p := range ents {
-			setStarts[int(p>>25&c.setMask)-baseSet+1]++
-		}
-		for s := 0; s < spc; s++ {
-			setStarts[s+1] += setStarts[s]
-			setCur[s] = setStarts[s]
-		}
-		setBuf := plan.setBuf[:len(ents)]
-		for _, p := range ents {
-			s := int(p>>25&c.setMask) - baseSet
-			setBuf[setCur[s]] = p
-			setCur[s]++
-		}
-		for s := 0; s < spc; s++ {
-			bws := (baseSet + s) * c.ways
-			n := 0
-			// sig is a one-word Bloom filter over the installed lines' low
-			// tag bits: a clear bit proves the line is new, skipping the
-			// duplicate scan for the common case; a set bit (≈n/64 false
-			// positive rate) falls back to the exact scan.
-			var sig uint64
-			for k := setStarts[s+1] - 1; k >= setStarts[s]; k-- {
-				p := setBuf[k]
-				line := p >> 25
-				bit := uint64(1) << (line >> setShift & 63)
-				if sig&bit != 0 {
-					dup := false
-					for w := 0; w < n; w++ {
-						if c.tags[bws+w] == line {
-							dup = true
-							break
-						}
-					}
-					if dup {
-						continue
-					}
-				}
-				sig |= bit
-				c.tags[bws+n] = line
-				c.lru[bws+n] = (p>>1)&(1<<24-1) + 1
-				c.dirty[bws+n] = p&1 != 0
-				n++
-				if n == c.ways {
-					break // everything earlier in the set was evicted
-				}
-			}
-			for w := n; w < c.ways; w++ {
-				c.tags[bws+w] = invalidTag
-				c.lru[bws+w] = 0
-				c.dirty[bws+w] = false
-			}
-		}
-	}
-	c.tick = uint64(len(lines))
-	c.stale = false
 }
 
 // Reset empties the cache and rebinds it to mc (typically a freshly built
@@ -571,35 +232,11 @@ func (c *Cache) warmFresh(lines []uint64, dirty []bool, plan *WarmPlan) {
 // fills cut short by run completion) are reclaimed into the free list —
 // their DRAM requests died with the previous controller.
 func (c *Cache) Reset(mc *memctrl.Controller) {
-	c.wipeArrays()
-	c.resetMeta(mc)
-}
-
-// ResetForWarm is Reset for a caller that immediately follows with a
-// full-coverage WarmAll (the batched-lane prewarm): the wipe of the big
-// tag/LRU/dirty arrays — a pass over the whole cache — is skipped, because
-// warmFresh rewrites every way of every set anyway. Until that WarmAll runs
-// the arrays hold the previous run's state; WarmAll's fallback paths detect
-// this (c.stale) and pay the deferred wipe, so the combination is correct
-// for every input, just fastest on the warmFresh path.
-func (c *Cache) ResetForWarm(mc *memctrl.Controller) {
-	c.stale = true
-	c.resetMeta(mc)
-}
-
-// wipeArrays empties every way slot of every set.
-func (c *Cache) wipeArrays() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 		c.lru[i] = 0
 		c.dirty[i] = false
 	}
-	c.stale = false
-}
-
-// resetMeta clears everything Reset owns except the way arrays: the warm
-// clock, the MSHRs, the prefetcher's recent-miss filter, and the stats.
-func (c *Cache) resetMeta(mc *memctrl.Controller) {
 	c.tick = 0
 	c.mc = mc
 	c.out.drain(func(m *mshr) {

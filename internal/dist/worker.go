@@ -56,10 +56,9 @@ type WorkerOptions struct {
 	Log io.Writer
 	// Flight arms the failure flight recorder: every leased job runs with
 	// a bounded command-trace ring and a last-metrics-line sink attached
-	// (via Pool.Instrument — which disables lane batching; forensics cost
-	// throughput), and a job that dies ships a FlightRecord with its
-	// upload. Stall profiles requested by the coordinator ship the same
-	// way. Off by default: the probes are observational-only (results stay
+	// (via Pool.Instrument), and a job that dies ships a FlightRecord with
+	// its upload. Stall profiles requested by the coordinator ship the
+	// same way. Off by default: the probes are observational-only (results stay
 	// byte-identical) but not free.
 	Flight bool
 }

@@ -3,7 +3,6 @@ package dram
 import (
 	"fmt"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/clk"
 	"autorfm/internal/mapping"
 	"autorfm/internal/mitigation"
@@ -74,20 +73,6 @@ type Config struct {
 	// Trace, when non-nil, receives the device-side mitigation windows
 	// (telemetry; observational only).
 	Trace *telemetry.CommandTrace
-	// ScratchVictims reuses a per-bank buffer for the policy's victim list
-	// (mitigation.VictimAppender) instead of allocating per mitigation.
-	// Victim lists are consumed synchronously inside mitigate, so reuse is
-	// invisible; results stay byte-identical because AppendVictims consumes
-	// exactly the PRNG draws Victims would. The batched lane path
-	// (sim.RunBatch) sets it; the serial path stays the frozen allocating
-	// reference, exactly like the WarmBatch/WarmAll split.
-	ScratchVictims bool
-	// Arena, when non-nil, is where buildPipeline carves its per-bank
-	// pipeline state — tracker tables, victim buffers, PRNGs — instead of
-	// the heap. The arena is reset and re-carved on every Device Reset
-	// (pipelines are rebuilt wholesale there), which lays every lane's
-	// tables out contiguously and makes repeated Resets allocation-free.
-	Arena *arena.Arena
 }
 
 func (c *Config) fillDefaults() {
@@ -143,14 +128,6 @@ type Bank struct {
 	policy mitigation.Policy
 	r      *rng.Source
 
-	// va and victimBuf form the allocation-free victim path (see
-	// Config.ScratchVictims): va is the policy's VictimAppender when
-	// scratch mode is on and the policy supports it, and victimBuf is the
-	// per-bank buffer it appends into. Victim lists are consumed
-	// synchronously inside mitigate, so one buffer per bank suffices.
-	va        mitigation.VictimAppender
-	victimBuf []uint32
-
 	// AutoRFM window state.
 	actsInWindow int
 	pendingMit   bool
@@ -167,27 +144,17 @@ type Bank struct {
 
 	Stats  BankStats
 	Ledger *Ledger
-
-	// fab, when non-nil, defers this bank's device pipeline (tracker,
-	// policy, PRNG, ledger — and the Stats fields they update) to its
-	// shard's worker; see shard.go for the ownership split.
-	fab *shardFabric
 }
 
 // Device is the full DRAM channel: all banks plus shared configuration.
 type Device struct {
 	Cfg   Config
 	Banks []*Bank
-
-	fabric *shardFabric
 }
 
 // NewDevice builds the device: one tracker, policy and PRNG per bank.
 func NewDevice(cfg Config) *Device {
 	cfg.fillDefaults()
-	if cfg.Arena != nil {
-		cfg.Arena.Reset()
-	}
 	d := &Device{Cfg: cfg}
 	d.Banks = make([]*Bank, cfg.Geo.Banks)
 	for i := range d.Banks {
@@ -208,7 +175,7 @@ func NewDevice(cfg Config) *Device {
 // policy, tracker — and zeroes the per-run scalar state. It is the shared
 // core of NewDevice and Reset: both produce bit-identical bank state.
 func (b *Bank) buildPipeline(cfg *Config) {
-	r := arena.Source(cfg.Arena, cfg.Seed^(0xb1a5ed<<16+uint64(b.ID)*0x9e37))
+	r := rng.New(cfg.Seed ^ (0xb1a5ed<<16 + uint64(b.ID)*0x9e37))
 	pol := cfg.NewPolicy(b.ID, r)
 	trk := cfg.NewTracker(b.ID, r)
 	// If the policy is recursive and the default MINT tracker is in
@@ -217,15 +184,6 @@ func (b *Bank) buildPipeline(cfg *Config) {
 		trk = tracker.NewMINT(cfg.TH, true, r)
 	}
 	b.trk, b.policy, b.r = trk, pol, r
-	b.va, b.victimBuf = nil, nil
-	if cfg.ScratchVictims {
-		if va, ok := pol.(mitigation.VictimAppender); ok {
-			b.va = va
-			// Victim lists hold at most four rows; the cushion keeps an
-			// out-of-spec policy from spilling per mitigation.
-			b.victimBuf = arena.Uint32s(cfg.Arena, 8)[:0]
-		}
-	}
 	b.actsInWindow, b.pendingMit = 0, false
 	b.saum, b.saumUntil = -1, 0
 	b.aboRow, b.aboPending = 0, false
@@ -239,22 +197,13 @@ func (b *Bank) buildPipeline(cfg *Config) {
 // how large they are); everything else — seed, TH, tracker/policy
 // constructors, trace attachment — is replaced wholesale, and the per-bank
 // pipelines are rebuilt from the new constructors, so the post-Reset device
-// is bit-identical to NewDevice(cfg) (pinned by the batch reuse test). A
-// device with an attached shard fabric cannot be reset.
+// is bit-identical to NewDevice(cfg) (pinned by TestDeviceResetMatchesNew).
 func (d *Device) Reset(cfg Config) bool {
 	cfg.fillDefaults()
-	if d.fabric != nil {
-		return false
-	}
 	if cfg.Geo != d.Cfg.Geo || cfg.Mode != d.Cfg.Mode || cfg.Audit != d.Cfg.Audit {
 		return false
 	}
 	d.Cfg = cfg
-	// The pipelines are rebuilt wholesale below, so every arena carving is
-	// dead; reclaim them all so the rebuild re-carves from the same slabs.
-	if cfg.Arena != nil {
-		cfg.Arena.Reset()
-	}
 	for _, b := range d.Banks {
 		b.buildPipeline(&d.Cfg)
 		for i := range b.pracCounts {
@@ -303,25 +252,13 @@ func (b *Bank) Activate(now clk.Tick, row uint32) ActResult {
 		return res
 	}
 	b.Stats.Acts++
-	if b.fab != nil {
-		// Defer the shard-owned pipeline (ledger record + tracker update)
-		// in exactly the serial call order; skip the send when this mode
-		// has no shard-side work for an ACT.
-		if b.Ledger != nil || b.cfg.Mode == ModeRFM || b.cfg.Mode == ModeAutoRFM {
-			b.deferCmd(opAct, now, uint64(row))
-		}
-	} else {
-		if b.Ledger != nil {
-			b.Ledger.RecordAct(row)
-		}
-		switch b.cfg.Mode {
-		case ModeRFM, ModeAutoRFM:
-			b.trk.OnActivation(row)
-		}
+	if b.Ledger != nil {
+		b.Ledger.RecordAct(row)
 	}
-	if b.cfg.Mode == ModePRAC {
-		// The per-row counters stay master-owned: the MC's ABO decision
-		// reads them synchronously on every ACT.
+	switch b.cfg.Mode {
+	case ModeRFM, ModeAutoRFM:
+		b.trk.OnActivation(row)
+	case ModePRAC:
 		b.pracCounts[row]++
 		if int(b.pracCounts[row]) >= b.cfg.PRACETh && !b.aboPending {
 			b.aboRow, b.aboPending = row, true
@@ -349,42 +286,23 @@ func (b *Bank) StartPendingMitigation(prechargeTime clk.Tick) {
 		return
 	}
 	b.pendingMit = false
-	var row uint32
-	var numRefresh int
-	if b.fab != nil {
-		// Deterministic join: the shard performs the selection and victim
-		// refreshes (draining every earlier command for this bank first),
-		// and replies with the selection the SAUM is computed from —
-		// consumed here, at exactly the point serial read it.
-		rep := b.joinReply(b.deferCmd(opAutoMit, prechargeTime, 0))
-		if !rep.ok {
-			return
-		}
-		row, numRefresh = rep.row, rep.numRefresh
-	} else {
-		sel := b.trk.SelectForMitigation()
-		if !sel.OK {
-			return
-		}
-		b.mitigate(sel)
-		row, numRefresh = sel.Row, b.policy.NumRefreshes()
+	sel := b.trk.SelectForMitigation()
+	if !sel.OK {
+		return
 	}
-	b.saum = b.cfg.Geo.Subarray(row)
-	dur := b.cfg.Timing.MitigationTime(numRefresh)
+	b.mitigate(sel)
+	b.saum = b.cfg.Geo.Subarray(sel.Row)
+	dur := b.cfg.Timing.MitigationTime(b.policy.NumRefreshes())
 	b.saumUntil = prechargeTime + dur
 	b.Stats.SAUMBusy += dur
 	if b.cfg.Trace != nil {
-		b.cfg.Trace.Record(prechargeTime, dur, telemetry.KindMIT, telemetry.CauseAutoRFM, b.ID, row)
+		b.cfg.Trace.Record(prechargeTime, dur, telemetry.KindMIT, telemetry.CauseAutoRFM, b.ID, sel.Row)
 	}
 }
 
 // ExecuteRFM performs one mitigation under an explicit RFM command
 // (ModeRFM); the MC has already stalled the bank for tRFM.
 func (b *Bank) ExecuteRFM() {
-	if b.fab != nil {
-		b.deferCmd(opRFM, 0, 0)
-		return
-	}
 	sel := b.trk.SelectForMitigation()
 	if sel.OK {
 		b.mitigate(sel)
@@ -395,10 +313,6 @@ func (b *Bank) ExecuteRFM() {
 // plus — in RFM mode — a borrowed-time mitigation (REF reduces RAA by RFMTH
 // because the device mitigates during tRFC; Section II-E).
 func (b *Bank) ExecuteREF(refIndex uint64) {
-	if b.fab != nil {
-		b.deferCmd(opREF, 0, refIndex)
-		return
-	}
 	if b.Ledger != nil {
 		b.Ledger.RecordPeriodicRefresh(refIndex)
 	}
@@ -423,16 +337,6 @@ func (b *Bank) ExecutePRACBackoff() {
 	b.aboPending = false
 	row := b.aboRow
 	b.pracCounts[row] = 0
-	if b.fab != nil {
-		// The shard selects the victims (consuming the same PRNG draws as
-		// serial) and replies with them so the master can replenish the
-		// master-owned per-row counters before the next ACT reads them.
-		rep := b.joinReply(b.deferCmd(opPRACMit, 0, uint64(row)))
-		for _, v := range rep.victims {
-			b.pracCounts[v] = 0
-		}
-		return
-	}
 	b.mitigate(tracker.Selection{Row: row, Level: 1, OK: true})
 }
 
@@ -442,16 +346,7 @@ func (b *Bank) mitigate(sel tracker.Selection) {
 	if sel.Level > 1 {
 		b.Stats.TransitiveMits++
 	}
-	var victims []uint32
-	if b.va != nil {
-		// Scratch path (Config.ScratchVictims): the victim list is consumed
-		// before mitigate returns, so it appends into the bank's reusable
-		// buffer with the exact PRNG draws of Victims.
-		b.victimBuf = b.va.AppendVictims(b.victimBuf[:0], sel, b.cfg.Geo.RowsPerBank)
-		victims = b.victimBuf
-	} else {
-		victims = b.policy.Victims(sel, b.cfg.Geo.RowsPerBank)
-	}
+	victims := b.policy.Victims(sel, b.cfg.Geo.RowsPerBank)
 	b.Stats.VictimRefreshes += uint64(len(victims))
 	if b.Ledger != nil {
 		for _, v := range victims {
@@ -466,10 +361,8 @@ func (b *Bank) mitigate(sel tracker.Selection) {
 	}
 }
 
-// TotalStats sums the per-bank statistics. On a sharded device it barriers
-// first, so the totals are exactly the serial engine's at the same tick.
+// TotalStats sums the per-bank statistics.
 func (d *Device) TotalStats() BankStats {
-	d.sync()
 	var t BankStats
 	for _, b := range d.Banks {
 		t.Acts += b.Stats.Acts
@@ -488,7 +381,6 @@ func (d *Device) TotalStats() BankStats {
 // not expose occupancy — and wrapped trackers, e.g. under fault injection —
 // contribute nothing.
 func (d *Device) TrackerTableStats() (live, budget int, spill int64) {
-	d.sync()
 	for _, b := range d.Banks {
 		if ts, ok := b.trk.(tracker.TableStats); ok {
 			l, bu, s := ts.TableStats()
@@ -503,7 +395,6 @@ func (d *Device) TrackerTableStats() (live, budget int, spill int64) {
 // MaxDamage returns the worst per-row damage observed by any bank's ledger,
 // and the total number of audit failures. It panics if auditing is off.
 func (d *Device) MaxDamage() (max uint32, failures uint64) {
-	d.sync()
 	for _, b := range d.Banks {
 		if b.Ledger == nil {
 			panic("dram: MaxDamage without Audit enabled")

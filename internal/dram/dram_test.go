@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"reflect"
 	"testing"
 
 	"autorfm/internal/clk"
@@ -312,5 +313,64 @@ func TestREFAwareTrackerReceivesOnREF(t *testing.T) {
 	}
 	if tw.TableSize() != 0 {
 		t.Fatalf("slow row not pruned after 100 REFs (size %d)", tw.TableSize())
+	}
+}
+
+// TestDeviceResetMatchesNew pins the warm-reuse contract of Device.Reset: a
+// used device Reset to a new seed and threshold carries exactly the state
+// NewDevice builds for that config — per-bank tracker, policy and PRNG,
+// scalar window/SAUM/ABO state, stats, PRAC counters and audit ledgers —
+// and a config needing differently shaped arrays is refused.
+func TestDeviceResetMatchesNew(t *testing.T) {
+	for _, mode := range []Mode{ModeAutoRFM, ModePRAC} {
+		used := autoCfg(4)
+		used.Mode, used.PRACETh, used.Audit, used.AuditThreshold = mode, 8, true, 100
+		d := NewDevice(used)
+		for i := 0; i < 400; i++ {
+			b := d.Banks[i%4]
+			res := b.Activate(clk.Tick(i), uint32(i%5*1000))
+			if res.WindowClosed {
+				b.StartPendingMitigation(clk.Tick(i))
+			}
+			if res.ABO {
+				b.ExecutePRACBackoff()
+			}
+			if i%50 == 0 {
+				b.ExecuteREF(uint64(i))
+			}
+		}
+		if st := d.TotalStats(); st.Mitigations == 0 {
+			t.Fatalf("%v: exercise performed no mitigations", mode)
+		}
+
+		next := used
+		next.Seed, next.TH, next.PRACETh, next.AuditThreshold = 99, 8, 16, 200
+		if !d.Reset(next) {
+			t.Fatalf("%v: Reset refused a same-shape config", mode)
+		}
+		fresh := NewDevice(next)
+		if d.Cfg.Seed != fresh.Cfg.Seed || d.Cfg.TH != fresh.Cfg.TH || d.Cfg.PRACETh != fresh.Cfg.PRACETh {
+			t.Fatalf("%v: Reset kept the old config: %+v", mode, d.Cfg)
+		}
+		for i := range fresh.Banks {
+			got, want := *d.Banks[i], *fresh.Banks[i]
+			got.cfg, want.cfg = nil, nil // config hooks are funcs; compared above
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v bank %d: Reset state differs from NewDevice\ngot:  %+v\nwant: %+v", mode, i, got, want)
+			}
+		}
+	}
+
+	base := autoCfg(4)
+	for name, mut := range map[string]func(*Config){
+		"geometry": func(c *Config) { c.Geo.RowsPerBank /= 2 },
+		"mode":     func(c *Config) { c.Mode = ModePRAC },
+		"audit":    func(c *Config) { c.Audit = true },
+	} {
+		other := base
+		mut(&other)
+		if NewDevice(base).Reset(other) {
+			t.Errorf("Reset accepted a %s change", name)
+		}
 	}
 }

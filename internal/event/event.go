@@ -351,19 +351,6 @@ func (q *Queue) nextTime() (clk.Tick, bool) {
 	return 0, false
 }
 
-// PeekTime returns the time of the event the next Step would dispatch,
-// without dispatching it, or (0, false) when the queue is empty. Events
-// armed at the current time — the now-lane and same-tick wheel entries —
-// report Now. The batched lane executor (internal/sim) uses this to run a
-// lane up to a shared tick horizon without overshooting into the next
-// lane's turn.
-func (q *Queue) PeekTime() (clk.Tick, bool) {
-	if q.nowHead < len(q.nowQ) {
-		return q.now, true
-	}
-	return q.nextTime()
-}
-
 // Step dispatches the next event. It reports false when the queue is empty.
 func (q *Queue) Step() bool {
 	// Wheel entries at the current time dispatch before the now-lane (they

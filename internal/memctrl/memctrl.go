@@ -149,13 +149,7 @@ func (w *wakeEvent) OnEvent(now clk.Tick) {
 }
 
 // mitEvent is a pooled deferred mitigation start (fires at the precharge
-// point of the ACT that closed a tracker window). Under sharded execution
-// (dram.Device.AttachShards) this firing is also the synchronization point
-// where the master joins the bank's shard worker: StartPendingMitigation
-// sends the selection command and blocks for the reply, so every tracker
-// update deferred between the window-closing ACT and this precharge —
-// including the unconditional per-bank REFs the refresh scheduler issues —
-// has been applied, in serial order, before the victim is chosen.
+// point of the ACT that closed a tracker window).
 type mitEvent struct {
 	c    *Controller
 	bank *dram.Bank

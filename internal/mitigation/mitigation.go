@@ -23,17 +23,6 @@ type Policy interface {
 	Recursive() bool
 }
 
-// VictimAppender is the allocation-free variant of Policy.Victims: the
-// victim rows are appended to dst (reusing its capacity) instead of a fresh
-// slice. All built-in policies implement it; the batched lane path
-// (sim.RunBatch) type-asserts for it once per bank at construction and
-// reuses one buffer per bank across mitigations, which removes the dominant
-// allocation of the lane update loop. Implementations must consume exactly
-// the PRNG draws Victims would, so both paths stay byte-identical.
-type VictimAppender interface {
-	AppendVictims(dst []uint32, sel tracker.Selection, rowsPerBank int) []uint32
-}
-
 // neighbors appends the rows at ±d from row, skipping rows outside the bank.
 func neighbors(dst []uint32, row uint32, d int, rowsPerBank int) []uint32 {
 	if int(row)-d >= 0 {
@@ -61,17 +50,10 @@ func (Baseline) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 	if !sel.OK {
 		return nil
 	}
-	return Baseline{}.AppendVictims(make([]uint32, 0, 4), sel, rowsPerBank)
-}
-
-// AppendVictims implements VictimAppender.
-func (Baseline) AppendVictims(dst []uint32, sel tracker.Selection, rowsPerBank int) []uint32 {
-	if !sel.OK {
-		return dst
-	}
-	dst = neighbors(dst, sel.Row, 1, rowsPerBank)
-	dst = neighbors(dst, sel.Row, 2, rowsPerBank)
-	return dst
+	v := make([]uint32, 0, 4)
+	v = neighbors(v, sel.Row, 1, rowsPerBank)
+	v = neighbors(v, sel.Row, 2, rowsPerBank)
+	return v
 }
 
 // Recursive implements the defence of Section V-B / Fig 9(b): a level-L
@@ -94,21 +76,14 @@ func (Recursive) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 	if !sel.OK {
 		return nil
 	}
-	return Recursive{}.AppendVictims(make([]uint32, 0, 4), sel, rowsPerBank)
-}
-
-// AppendVictims implements VictimAppender.
-func (Recursive) AppendVictims(dst []uint32, sel tracker.Selection, rowsPerBank int) []uint32 {
-	if !sel.OK {
-		return dst
-	}
 	level := sel.Level
 	if level < 1 {
 		level = 1
 	}
-	dst = neighbors(dst, sel.Row, 2*level-1, rowsPerBank)
-	dst = neighbors(dst, sel.Row, 2*level, rowsPerBank)
-	return dst
+	v := make([]uint32, 0, 4)
+	v = neighbors(v, sel.Row, 2*level-1, rowsPerBank)
+	v = neighbors(v, sel.Row, 2*level, rowsPerBank)
+	return v
 }
 
 // Fractal implements Fractal Mitigation (Section V-C, Fig 10): the immediate
@@ -141,18 +116,10 @@ func (f *Fractal) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 	if !sel.OK {
 		return nil
 	}
-	return f.AppendVictims(make([]uint32, 0, 4), sel, rowsPerBank)
-}
-
-// AppendVictims implements VictimAppender, consuming exactly the PRNG draw
-// Victims would.
-func (f *Fractal) AppendVictims(dst []uint32, sel tracker.Selection, rowsPerBank int) []uint32 {
-	if !sel.OK {
-		return dst
-	}
-	dst = neighbors(dst, sel.Row, 1, rowsPerBank)
+	v := make([]uint32, 0, 4)
+	v = neighbors(v, sel.Row, 1, rowsPerBank)
 	d := rng.FractalDistance(f.r.Uint16())
 	f.DistanceCounts[d]++
-	dst = neighbors(dst, sel.Row, d, rowsPerBank)
-	return dst
+	v = neighbors(v, sel.Row, d, rowsPerBank)
+	return v
 }

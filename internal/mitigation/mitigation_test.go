@@ -192,31 +192,3 @@ func TestByName(t *testing.T) {
 		t.Error("ByName(nope) did not error")
 	}
 }
-
-// TestAppendVictimsZeroAllocs pins the contract the batched lane path relies
-// on: every built-in policy's AppendVictims into a preallocated buffer is
-// allocation-free, so the per-mitigation victim computation costs no heap
-// traffic in the steady-state update loop.
-func TestAppendVictimsZeroAllocs(t *testing.T) {
-	policies := []struct {
-		name string
-		p    VictimAppender
-	}{
-		{"baseline", NewBaseline()},
-		{"recursive", NewRecursive()},
-		{"fractal", NewFractal(rng.New(9))},
-	}
-	buf := make([]uint32, 0, 8)
-	for _, tc := range policies {
-		s := sel(5000, 2)
-		allocs := testing.AllocsPerRun(100, func() {
-			buf = tc.p.AppendVictims(buf[:0], s, rows)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: AppendVictims allocates %.1f objects per call, want 0", tc.name, allocs)
-		}
-		if len(buf) == 0 {
-			t.Errorf("%s: AppendVictims returned no victims", tc.name)
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strconv"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/cache"
 	"autorfm/internal/clk"
 	"autorfm/internal/cpu"
@@ -17,7 +16,6 @@ import (
 	"autorfm/internal/memctrl"
 	"autorfm/internal/mitigation"
 	"autorfm/internal/rng"
-	"autorfm/internal/shard"
 	"autorfm/internal/stats"
 	"autorfm/internal/telemetry"
 	"autorfm/internal/tracker"
@@ -65,32 +63,6 @@ type Config struct {
 	PrefetchDegree int
 	// Seed makes the whole run deterministic.
 	Seed uint64
-	// Shards, when > 1, executes the device-side bank pipeline — trackers,
-	// mitigation policies, their per-bank PRNG draws, and audit ledgers —
-	// on that many worker goroutines (internal/shard), partitioned
-	// subchannel-first over the banks. The master event loop stays
-	// byte-for-byte serial and consumes shard-produced values only at
-	// deterministic join points, so the Result is byte-identical to a
-	// serial run at any GOMAXPROCS (pinned by the 200-seed differential
-	// test). Because the output is identical, Shards — like Telemetry — is
-	// excluded from Key() and from JSON: a sharded run may reuse a cached
-	// serial Result and vice versa. 0 and 1 both select the serial path,
-	// byte-for-byte untouched.
-	Shards int `json:"-"`
-	// Batch, when > 1, is a hint to the runner (runner.Pool, exp.Scale,
-	// the -batch CLI flags) to group up to that many pending seeds of this
-	// configuration into one lane-batched machine run (Machine.RunBatch):
-	// the lanes share one prepared setup and interleave toward common tick
-	// boundaries, amortizing per-run construction and pre-warm cost. Like
-	// Shards, batching cannot change any Result — each lane's Result is
-	// byte-identical to a serial run of its seed (pinned by the 200-seed
-	// batched differential) — so Batch is excluded from Key() and from
-	// JSON: batched, sharded, and serial runs all share cached and
-	// checkpointed results. 0 and 1 both mean "no batching". The sim
-	// package itself ignores the field (RunBatch takes an explicit seed
-	// slice); it exists so sweep layers can thread the width through
-	// unchanged config plumbing.
-	Batch int `json:"-"`
 	// Fault configures deterministic fault injection on the tracker and
 	// mitigation-delivery path (see internal/fault). The zero value injects
 	// nothing; a non-zero config participates in the memoization key, so a
@@ -263,12 +235,6 @@ func (c *Config) validate() error {
 	if c.RAAMaxFactor < 0 {
 		return fmt.Errorf("sim: negative RAA ceiling factor %d", c.RAAMaxFactor)
 	}
-	if banks := mapping.Default().Banks; c.Shards < 0 || c.Shards > banks {
-		return fmt.Errorf("sim: shard count %d outside [0, %d]", c.Shards, banks)
-	}
-	if c.Batch < 0 || c.Batch > maxBatch {
-		return fmt.Errorf("sim: batch width %d outside [0, %d]", c.Batch, maxBatch)
-	}
 	w := c.Workload
 	if math.IsNaN(w.MemPKI) || w.MemPKI <= 0 || w.MemPKI > 1000 {
 		return fmt.Errorf("sim: workload %q MemPKI %v outside (0, 1000]", w.Name, w.MemPKI)
@@ -358,55 +324,26 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 // Machine is a reusable simulation allocation: the event queue, the LLC's
 // structure-of-arrays state, and the DRAM device's largest arrays (PRAC
 // counters, audit ledgers) survive from run to run and are Reset instead of
-// reconstructed. Batch sweeps that run many seeds of one configuration
+// reconstructed. Sweeps that run many seeds of one configuration
 // (fig1d-style) avoid rebuilding ~3MB of state per run; a Machine run is
 // byte-identical to a fresh Run (pinned by TestMachineReuseMatchesFresh).
-//
-// A Machine owns one lane engine per batch lane (serial runs use lane 0)
-// plus the pre-warm scratch the batched path shares across lanes; see
-// RunBatch for the lane-batched execution mode.
 //
 // The zero value is ready to use; each Run warms it further. A Machine is
 // not safe for concurrent use — give each worker goroutine its own.
 type Machine struct {
-	lanes []*laneEngine
-	warm  prewarmScratch
-}
-
-// laneEngine is one lane's reusable allocation set. Serial runs use a
-// machine's lane 0; a batched run uses lanes 0..B-1, so each lane's event
-// queue, LLC arrays, and device state stay warm across batches of the same
-// configuration.
-type laneEngine struct {
 	q      *event.Queue
 	llc    *cache.Cache
 	llcCfg cache.Config
 	dev    *dram.Device
-	// arena is the lane's device-state allocator (batched runs only): the
-	// device resets and re-carves it on every pipeline rebuild, so one
-	// lane's tracker tables, PRNGs, and victim buffers stay contiguous and
-	// warm-machine Resets are allocation-free. It survives dirty teardowns —
-	// NewDevice resets it before carving anything.
-	arena *arena.Arena
 	// dirty marks a run in flight; if a run panics or is cancelled the warm
-	// state is mid-run garbage, so the lane's next run drops it and builds
-	// fresh.
+	// state is mid-run garbage, so the machine's next run drops it and
+	// builds fresh.
 	dirty bool
-}
-
-// lane returns lane engine i, growing the lane set on first use.
-func (m *Machine) lane(i int) *laneEngine {
-	for len(m.lanes) <= i {
-		m.lanes = append(m.lanes, &laneEngine{})
-	}
-	return m.lanes[i]
 }
 
 // prepared is the seed-independent part of a run's construction: geometry,
 // timing, the telemetry attachment, and the plugin constructors resolved
-// from their registries. A serial run prepares for its single lane; a
-// batched run prepares once and starts every lane from the same value, so
-// registry resolution and spec parsing are paid once per batch.
+// from their registries.
 type prepared struct {
 	geo        mapping.Geometry
 	timing     clk.Timing
@@ -415,11 +352,6 @@ type prepared struct {
 	recursive  bool
 	newPolicy  func(bank int, r *rng.Source) mitigation.Policy
 	newTracker func(bank int, r *rng.Source) tracker.Tracker
-	// trkBuild is the registry-resolved tracker constructor behind
-	// newTracker (nil when cfg.NewTracker overrides the registry). Batched
-	// lanes rebind it with a per-lane tracker.Env carrying the lane's arena,
-	// so each lane's tables are carved from its own slabs.
-	trkBuild func(env tracker.Env) (tracker.Tracker, error)
 }
 
 // prepare resolves everything about cfg that does not depend on its Seed.
@@ -445,11 +377,10 @@ func prepare(cfg *Config) (prepared, error) {
 		}
 	}
 	// Resolve the policy and tracker plugins. The registry is consulted
-	// exactly once per run (once per batch for batched runs): the selected
-	// constructors are bound into dram.Config's per-bank hooks, and the
-	// instances they produce are the same concrete types the per-activation
-	// hot path always called — no registry indirection survives past this
-	// point.
+	// exactly once per run: the selected constructors are bound into
+	// dram.Config's per-bank hooks, and the instances they produce are the
+	// same concrete types the per-activation hot path always called — no
+	// registry indirection survives past this point.
 	if cfg.NewPolicy != nil {
 		pre.newPolicy = cfg.NewPolicy
 		pre.recursive = cfg.NewPolicy(-1, rng.New(0)).Recursive()
@@ -480,7 +411,6 @@ func prepare(cfg *Config) (prepared, error) {
 		}
 		th := cfg.TH
 		rec := pre.recursive
-		pre.trkBuild = build
 		pre.newTracker = func(bank int, r *rng.Source) tracker.Tracker {
 			t, terr := build(tracker.Env{Bank: bank, TH: th, Recursive: rec, R: r})
 			if terr != nil {
@@ -492,15 +422,12 @@ func prepare(cfg *Config) (prepared, error) {
 	return pre, nil
 }
 
-// laneRun is one in-flight lane execution: the engine it runs on, the
-// per-run components built for it, and its dispatch bookkeeping. Serial
-// runs drive a single laneRun to completion; batched runs interleave
-// several toward shared tick horizons.
-type laneRun struct {
-	eng   *laneEngine
+// machineRun is one in-flight execution on a machine: the per-run
+// components built for it and its dispatch bookkeeping.
+type machineRun struct {
+	m     *Machine
 	cfg   Config
 	mc    *memctrl.Controller
-	grp   *shard.Group
 	cores []*cpu.Core
 
 	// remaining counts unfinished cores; each core decrements it exactly
@@ -509,25 +436,19 @@ type laneRun struct {
 	remaining int
 	events    int64
 
-	// Telemetry attachment (serial runs only; the batched path falls back
-	// to serial execution when a probe is attached).
+	// Telemetry attachment.
 	sampler     *telemetry.EpochSampler
 	samplerT    *event.Timer
 	epochStart  clk.Tick
 	epochPeriod clk.Tick
 	probeEvents int64
 	qHist       *stats.Histogram
-
-	finished bool // retired by the batch loop (result or error recorded)
-	released bool
 }
 
-// start builds everything a lane's run needs — mapper, device, controller,
-// LLC, pre-warm, cores — on engine e, leaving the lane ready to dispatch.
-// When warm is non-nil (batched runs) the LLC pre-warm goes through the
-// set-major WarmAll path with the batch's shared scratch; the serial path
-// is untouched. The engine is marked dirty until finish completes.
-func (e *laneEngine) start(cfg Config, pre *prepared, warm *prewarmScratch) (lr *laneRun, err error) {
+// start builds everything a run needs — mapper, device, controller, LLC,
+// pre-warm, cores — on the machine, leaving it ready to dispatch. The
+// machine is marked dirty until finish completes.
+func (m *Machine) start(cfg Config, pre *prepared) (*machineRun, error) {
 	mapper, err := mapping.ByName(cfg.Mapping, pre.geo, cfg.Seed^0xa11ce)
 	if err != nil {
 		return nil, err
@@ -543,31 +464,6 @@ func (e *laneEngine) start(cfg Config, pre *prepared, warm *prewarmScratch) (lr 
 		NewPolicy:  pre.newPolicy,
 		NewTracker: pre.newTracker,
 	}
-	if warm != nil {
-		// Batched lanes get the contiguous device placement: the lane's
-		// arena holds the per-bank PRNGs, tracker tables, and victim
-		// buffers, and the scratch victim path replaces Victims's per-call
-		// allocation. Both are batch-only by the same rule as WarmAll —
-		// the serial path stays the frozen allocating reference the
-		// differential tests compare against.
-		if e.arena == nil {
-			e.arena = &arena.Arena{}
-		}
-		dcfg.Arena = e.arena
-		dcfg.ScratchVictims = true
-		if pre.trkBuild != nil {
-			build := pre.trkBuild
-			a := e.arena
-			th, rec := cfg.TH, pre.recursive
-			dcfg.NewTracker = func(bank int, r *rng.Source) tracker.Tracker {
-				t, terr := build(tracker.Env{Bank: bank, TH: th, Recursive: rec, R: r, Arena: a})
-				if terr != nil {
-					panic(terr) // unreachable: the spec was validated in prepare
-				}
-				return t
-			}
-		}
-	}
 	if cfg.Fault.Active() {
 		// Interpose the fault injectors between the device and its trackers.
 		// Each bank's injector has its own PRNG off Fault.Seed so the fault
@@ -581,45 +477,34 @@ func (e *laneEngine) start(cfg Config, pre *prepared, warm *prewarmScratch) (lr 
 		}
 	}
 
-	// From here on the lane's warm state is mutated: mark the run in
+	// From here on the machine's warm state is mutated: mark the run in
 	// flight so a panicking or cancelled run poisons the reuse path, and
 	// drop state a previous failed run left behind.
-	if e.dirty {
-		e.q, e.llc, e.dev = nil, nil, nil
+	if m.dirty {
+		m.q, m.llc, m.dev = nil, nil, nil
 	}
-	e.dirty = true
-	if e.dev == nil || !e.dev.Reset(dcfg) {
-		e.dev = dram.NewDevice(dcfg)
+	m.dirty = true
+	if m.dev == nil || !m.dev.Reset(dcfg) {
+		m.dev = dram.NewDevice(dcfg)
 	}
-	dev := e.dev
-	if e.q == nil {
-		e.q = &event.Queue{}
+	dev := m.dev
+	if m.q == nil {
+		m.q = &event.Queue{}
 	} else {
-		e.q.Reset()
+		m.q.Reset()
 	}
-	q := e.q
-	lr = &laneRun{eng: e, cfg: cfg}
-	if cfg.Shards > 1 {
-		lr.grp = dev.AttachShards(cfg.Shards)
-		// A panic below (a construction bug) must still tear the fabric
-		// down, exactly as the serial defer always did.
-		defer func() {
-			if v := recover(); v != nil {
-				lr.release()
-				panic(v)
-			}
-		}()
-	}
+	q := m.q
+	r := &machineRun{m: m, cfg: cfg}
 	mcCfg := memctrl.Config{Timing: pre.timing, Mapper: mapper, RFMTH: cfg.TH,
 		RAAMaxFactor: cfg.RAAMaxFactor, Trace: pre.trace}
 	if cfg.RetryWaitNS > 0 {
 		mcCfg.RetryWait = clk.NS(cfg.RetryWaitNS)
 	}
 	if pre.metrics != nil {
-		lr.qHist = stats.NewHistogram()
-		mcCfg.QueueHist = lr.qHist
+		r.qHist = stats.NewHistogram()
+		mcCfg.QueueHist = r.qHist
 	}
-	lr.mc = memctrl.New(mcCfg, dev, q)
+	r.mc = memctrl.New(mcCfg, dev, q)
 
 	// The epoch sampler rides the event queue as a periodic timer. It is
 	// armed after the controller so that at a tied tick the REF dispatches
@@ -629,20 +514,20 @@ func (e *laneEngine) start(cfg Config, pre *prepared, warm *prewarmScratch) (lr 
 	// Result.Events in finish — Results stay identical with telemetry on or
 	// off.
 	if pre.metrics != nil {
-		lr.sampler = telemetry.NewEpochSampler(pre.metrics)
-		lr.epochPeriod = pre.timing.TREFI
+		r.sampler = telemetry.NewEpochSampler(pre.metrics)
+		r.epochPeriod = pre.timing.TREFI
 		if pre.metrics.EpochNS > 0 {
-			lr.epochPeriod = clk.NS(pre.metrics.EpochNS)
+			r.epochPeriod = clk.NS(pre.metrics.EpochNS)
 		}
-		mc := lr.mc
-		lr.samplerT = event.NewTimer(q, func(now clk.Tick) {
-			lr.probeEvents++
+		mc := r.mc
+		r.samplerT = event.NewTimer(q, func(now clk.Tick) {
+			r.probeEvents++
 			cum, g := telemetrySnapshot(mc, dev)
-			lr.sampler.Sample(lr.epochStart, now, cum, g)
-			lr.epochStart = now
-			lr.samplerT.At(now + lr.epochPeriod)
+			r.sampler.Sample(r.epochStart, now, cum, g)
+			r.epochStart = now
+			r.samplerT.At(now + r.epochPeriod)
 		})
-		lr.samplerT.At(q.Now() + lr.epochPeriod)
+		r.samplerT.At(q.Now() + r.epochPeriod)
 	}
 	llcCfg := cache.DefaultConfig()
 	if cfg.PrefetchDegree > 0 {
@@ -650,103 +535,62 @@ func (e *laneEngine) start(cfg Config, pre *prepared, warm *prewarmScratch) (lr 
 	} else if cfg.PrefetchDegree < 0 {
 		llcCfg.PrefetchDegree = 0
 	}
-	if e.llc != nil && e.llcCfg == llcCfg {
-		if warm != nil {
-			// The batched prewarm rewrites every way of every set, so the
-			// reset can skip its full-cache array wipe (see ResetForWarm).
-			e.llc.ResetForWarm(lr.mc)
-		} else {
-			e.llc.Reset(lr.mc)
-		}
+	if m.llc != nil && m.llcCfg == llcCfg {
+		m.llc.Reset(r.mc)
 	} else {
-		e.llc = cache.New(llcCfg, lr.mc, q)
-		e.llcCfg = llcCfg
+		m.llc = cache.New(llcCfg, r.mc, q)
+		m.llcCfg = llcCfg
 	}
-	llc := e.llc
-	if warm != nil {
-		prewarmBatched(llc, llcCfg, cfg, warm)
-	} else {
-		prewarm(llc, llcCfg, cfg)
-	}
+	llc := m.llc
+	prewarm(llc, llcCfg, cfg)
 
-	lr.remaining = cfg.Cores
-	coreFinished := func() { lr.remaining-- }
-	lr.cores = make([]*cpu.Core, cfg.Cores)
-	for i := range lr.cores {
+	r.remaining = cfg.Cores
+	coreFinished := func() { r.remaining-- }
+	r.cores = make([]*cpu.Core, cfg.Cores)
+	for i := range r.cores {
 		var strm cpu.Stream
 		if cfg.NewStream != nil {
 			strm = cfg.NewStream(i)
 		} else {
 			strm = workload.NewGenerator(cfg.Workload, i, cfg.Seed^0xc0de)
 		}
-		lr.cores[i] = cpu.New(i, cpu.DefaultConfig(cfg.InstructionsPerCore), strm, llc, q)
-		lr.cores[i].OnFinish = coreFinished
-		lr.cores[i].Start()
+		r.cores[i] = cpu.New(i, cpu.DefaultConfig(cfg.InstructionsPerCore), strm, llc, q)
+		r.cores[i].OnFinish = coreFinished
+		r.cores[i].Start()
 	}
-	return lr, nil
+	return r, nil
 }
 
-// finish runs the lane's post-dispatch sequence — shard barrier and
-// accounting checks, telemetry flush, Result assembly — and marks the
-// engine clean for reuse.
-func (lr *laneRun) finish() (Result, error) {
-	e := lr.eng
-	if lr.grp != nil {
-		// Final barrier: every deferred device command is applied before
-		// any Result field is assembled, and applied exactly once — the
-		// event/work accounting below sums each shard-local counter at this
-		// single point, never per-epoch (epoch snapshots barrier without
-		// consuming the counters).
-		lr.grp.Barrier()
-		sent, applied := lr.grp.Stats()
-		for s := range sent {
-			if sent[s] != applied[s] {
-				return Result{}, fmt.Errorf("sim: shard %d accounting mismatch: %d commands sent, %d applied",
-					s, sent[s], applied[s])
-			}
-		}
-	}
-	if lr.sampler != nil {
+// finish runs the post-dispatch sequence — telemetry flush, Result
+// assembly — and marks the machine clean for reuse.
+func (r *machineRun) finish() Result {
+	m := r.m
+	if r.sampler != nil {
 		// Close the stream: the final partial epoch (if anything happened
 		// after the last boundary) and the run-level summary.
-		cum, g := telemetrySnapshot(lr.mc, e.dev)
-		lr.sampler.Flush(lr.epochStart, e.q.Now(), cum, g)
-		lr.sampler.Summary(e.q.Now(), lr.qHist)
+		cum, g := telemetrySnapshot(r.mc, m.dev)
+		r.sampler.Flush(r.epochStart, m.q.Now(), cum, g)
+		r.sampler.Summary(m.q.Now(), r.qHist)
 	}
 
 	res := Result{
-		Config:      lr.cfg,
-		FinishTimes: make([]clk.Tick, len(lr.cores)),
-		Events:      lr.events - lr.probeEvents,
-		MC:          lr.mc.Stats,
-		Dev:         e.dev.TotalStats(),
-		Cache:       e.llc.Stats,
-		Banks:       e.dev.Cfg.Geo.Banks,
+		Config:      r.cfg,
+		FinishTimes: make([]clk.Tick, len(r.cores)),
+		Events:      r.events - r.probeEvents,
+		MC:          r.mc.Stats,
+		Dev:         m.dev.TotalStats(),
+		Cache:       m.llc.Stats,
+		Banks:       m.dev.Cfg.Geo.Banks,
 	}
-	for i, c := range lr.cores {
+	for i, c := range r.cores {
 		res.FinishTimes[i] = c.FinishTime
 		res.Instructions += c.Retired()
 		if c.FinishTime > res.Elapsed {
 			res.Elapsed = c.FinishTime
 		}
 	}
-	e.dirty = false
-	return res, nil
-}
-
-// release tears down the lane's shard fabric, if any. Idempotent; it must
-// run on every exit path (finish does not call it, so batch lanes can
-// barrier before their fabric is torn down, exactly where the serial defer
-// ran).
-func (lr *laneRun) release() {
-	if lr.released {
-		return
-	}
-	lr.released = true
-	if lr.grp != nil {
-		lr.grp.Close()
-		lr.eng.dev.DetachShards()
-	}
+	m.dirty = false
+	return res
 }
 
 // Run executes one configuration on the machine, reusing its warm state.
@@ -774,11 +618,10 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	lr, err := m.lane(0).start(cfg, &pre, nil)
+	r, err := m.start(cfg, &pre)
 	if err != nil {
 		return Result{}, err
 	}
-	defer lr.release()
 
 	// The dispatch loop, with the old stop-callback indirection hoisted
 	// into the loop itself: the common iteration is a counter compare, an
@@ -786,17 +629,17 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	// cancelled poll. ctx is polled only every 4096 events: ctx.Err takes
 	// a lock, and the loop dispatches tens of millions of events per
 	// simulated millisecond.
-	q := lr.eng.q
-	for lr.remaining > 0 {
+	q := m.q
+	for r.remaining > 0 {
 		if !q.Step() {
 			break
 		}
-		lr.events++
-		if lr.events&0xfff == 0 && ctx.Err() != nil {
+		r.events++
+		if r.events&0xfff == 0 && ctx.Err() != nil {
 			return Result{}, fmt.Errorf("sim: run cancelled at t=%v: %w", q.Now(), ctx.Err())
 		}
 	}
-	return lr.finish()
+	return r.finish(), nil
 }
 
 // telemetrySnapshot assembles the cumulative telemetry counter set and the
@@ -835,22 +678,6 @@ func prewarm(llc *cache.Cache, llcCfg cache.Config, cfg Config) int {
 	wr := rng.New(cfg.Seed ^ 0x3a3a)
 	totalLines := llcCfg.SizeBytes / llcCfg.LineBytes
 	fpLines := uint64(cfg.Workload.FootprintMB) * (1 << 20) / 64
-	if cfg.Shards > 1 {
-		// Sharded runs spread the warm scans — ~20% of a short run's wall
-		// time — across the shard count: the PRNG draws are made serially
-		// (they are a strict sequence), then WarmBatch partitions the cache
-		// by set and applies each entry with the LRU stamp the serial loop
-		// would have used, so the warmed state is byte-identical.
-		lines := make([]uint64, totalLines)
-		dirty := make([]bool, totalLines)
-		for i := range lines {
-			core := i % cfg.Cores
-			lines[i] = uint64(core)*fpLines + uint64(wr.Int63n(int64(fpLines)))
-			dirty[i] = wr.Bernoulli(cfg.Workload.WriteFrac)
-		}
-		llc.WarmBatch(lines, dirty, cfg.Shards)
-		return totalLines
-	}
 	for i := 0; i < totalLines; i++ {
 		core := i % cfg.Cores
 		line := uint64(core)*fpLines + uint64(wr.Int63n(int64(fpLines)))

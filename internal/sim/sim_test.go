@@ -3,11 +3,13 @@ package sim
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"autorfm/internal/clk"
 	"autorfm/internal/cpu"
 	"autorfm/internal/dram"
+	"autorfm/internal/fault"
 	"autorfm/internal/workload"
 )
 
@@ -311,5 +313,76 @@ func TestConfigKey(t *testing.T) {
 	}
 	if n := (Config{Workload: base.Workload}).Normalized(); n.Cores != 8 || n.Tracker != "mint" {
 		t.Errorf("Normalized defaults wrong: %+v", n)
+	}
+}
+
+// diffProfile returns the named workload profile, panicking on a typo.
+func diffProfile(name string) workload.Profile {
+	p, err := workload.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// TestMachineReuseMatchesFresh pins the warm-reuse contract: a Machine
+// reused across seeds — and across incompatible configs, which force a
+// partial rebuild — produces identical Results to fresh construction.
+func TestMachineReuseMatchesFresh(t *testing.T) {
+	seq := []Config{
+		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 1},
+		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 2},
+		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 3},
+		// Mode change: device reuse is incompatible, machine must rebuild.
+		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 4},
+		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 5},
+	}
+	var m Machine
+	for i, cfg := range seq {
+		fresh, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("step %d fresh: %v", i, err)
+		}
+		reused, err := m.Run(cfg)
+		if err != nil {
+			t.Fatalf("step %d reused: %v", i, err)
+		}
+		if !reflect.DeepEqual(reused, fresh) {
+			t.Fatalf("step %d (%s seed %d): machine-reuse Result diverges from fresh",
+				i, cfg.Workload.Name, cfg.Seed)
+		}
+	}
+}
+
+// TestMachineDropsStateAfterPanic pins the poisoning contract: a run that
+// panics mid-simulation leaves the machine dirty, and the next run builds
+// fresh state rather than resuming from garbage.
+func TestMachineDropsStateAfterPanic(t *testing.T) {
+	var m Machine
+	good := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000,
+		Mode: dram.ModeAutoRFM, TH: 4, Seed: 11}
+	if _, err := m.Run(good); err != nil {
+		t.Fatal(err)
+	}
+	bad := good
+	bad.Fault = fault.Config{Seed: 3, PanicAfterActs: 50}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("fault-injected run did not panic")
+			}
+		}()
+		_, _ = m.Run(bad)
+	}()
+	fresh, err := Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := m.Run(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, fresh) {
+		t.Fatal("post-panic machine run diverges from fresh run")
 	}
 }

@@ -1,10 +1,6 @@
 package tracker
 
-import (
-	"fmt"
-
-	"autorfm/internal/arena"
-)
+import "fmt"
 
 // REFAware is implemented by trackers that need the periodic-refresh signal
 // (e.g. TWiCe prunes its table every refresh interval). The DRAM bank model
@@ -43,19 +39,11 @@ type Graphene struct {
 // NewGraphene returns a Graphene tracker with the given entry budget that
 // nominates rows at the given estimated activation count.
 func NewGraphene(entries int, threshold int64) *Graphene {
-	return NewGrapheneIn(nil, entries, threshold)
-}
-
-// NewGrapheneIn is NewGraphene with the tables carved from a (nil for the
-// heap).
-func NewGrapheneIn(a *arena.Arena, entries int, threshold int64) *Graphene {
 	if entries < 1 || threshold < 1 {
 		panic("tracker: invalid Graphene parameters")
 	}
 	g := &Graphene{threshold: threshold}
-	g.t.a = a
 	g.t.init(entries)
-	g.inQ.a = a
 	g.inQ.init(16)
 	return g
 }
@@ -142,13 +130,6 @@ type TWiCe struct {
 
 // NewTWiCe returns a TWiCe tracker targeting the given Rowhammer threshold.
 func NewTWiCe(threshold int64) *TWiCe {
-	return NewTWiCeIn(nil, threshold)
-}
-
-// NewTWiCeIn is NewTWiCe with the row index carved from a (nil for the
-// heap); the slot arrays grow on demand either way (TWiCe's table size is
-// workload-dependent by design).
-func NewTWiCeIn(a *arena.Arena, threshold int64) *TWiCe {
 	if threshold < 2 {
 		panic("tracker: invalid TWiCe threshold")
 	}
@@ -156,7 +137,6 @@ func NewTWiCeIn(a *arena.Arena, threshold int64) *TWiCe {
 		threshold:  threshold,
 		lifeEpochs: 8192, // REF commands per tREFW in DDR5
 	}
-	t.idx.a = a
 	t.idx.init(16)
 	return t
 }

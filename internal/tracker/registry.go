@@ -3,7 +3,6 @@ package tracker
 import (
 	"fmt"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/plugin"
 	"autorfm/internal/rng"
 )
@@ -24,13 +23,6 @@ type Env struct {
 	// R is the bank's device-side PRNG. Trackers must draw all randomness
 	// from it — never from package state — to keep runs deterministic.
 	R *rng.Source
-	// Arena, when non-nil, is where the tracker should carve its tables
-	// (slot arrays, FIFOs, index maps) instead of the heap. The batched
-	// lane path (sim.RunBatch) supplies one per lane so every lane's
-	// tracker state is contiguous and warm-machine Resets re-carve instead
-	// of reallocating. Purely a placement hint: carved state behaves
-	// identically to heap state.
-	Arena *arena.Arena
 }
 
 // Factory builds one tracker instance from a parsed parameter spec. It is
@@ -138,7 +130,7 @@ func init() {
 		if window < 1 || fifo < 1 {
 			return nil, fmt.Errorf("window %d / fifo %d below 1", window, fifo)
 		}
-		return NewPrIDEIn(env.Arena, window, fifo, env.R), nil
+		return NewPrIDE(window, fifo, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -155,7 +147,7 @@ func init() {
 		if buf < 1 {
 			return nil, fmt.Errorf("buf %d < 1", buf)
 		}
-		return NewPARFMIn(env.Arena, buf, env.R), nil
+		return NewPARFM(buf, env.R), nil
 	})
 
 	Register(plugin.Info{
@@ -189,7 +181,7 @@ func init() {
 		if entries < 1 {
 			return nil, fmt.Errorf("entries %d < 1", entries)
 		}
-		return NewMithrilIn(env.Arena, entries), nil
+		return NewMithril(entries), nil
 	})
 
 	Register(plugin.Info{
@@ -208,7 +200,7 @@ func init() {
 		if entries < 1 || threshold < 1 {
 			return nil, fmt.Errorf("entries %d / threshold %d below 1", entries, threshold)
 		}
-		return NewGrapheneIn(env.Arena, entries, threshold), nil
+		return NewGraphene(entries, threshold), nil
 	})
 
 	Register(plugin.Info{
@@ -225,6 +217,6 @@ func init() {
 		if threshold < 2 {
 			return nil, fmt.Errorf("threshold %d < 2", threshold)
 		}
-		return NewTWiCeIn(env.Arena, threshold), nil
+		return NewTWiCe(threshold), nil
 	})
 }

@@ -3,7 +3,6 @@ package tracker
 import (
 	"fmt"
 
-	"autorfm/internal/arena"
 	"autorfm/internal/rng"
 )
 
@@ -139,15 +138,10 @@ type PrIDE struct {
 // NewPrIDE returns a PrIDE tracker sampling with probability 1/window into a
 // FIFO of fifoSize entries (the paper uses 4).
 func NewPrIDE(window, fifoSize int, r *rng.Source) *PrIDE {
-	return NewPrIDEIn(nil, window, fifoSize, r)
-}
-
-// NewPrIDEIn is NewPrIDE with the FIFO carved from a (nil for the heap).
-func NewPrIDEIn(a *arena.Arena, window, fifoSize int, r *rng.Source) *PrIDE {
 	if window < 1 || fifoSize < 1 {
 		panic("tracker: invalid PrIDE parameters")
 	}
-	return &PrIDE{window: window, fifoSize: fifoSize, r: r, fifo: arena.Uint32s(a, fifoSize)}
+	return &PrIDE{window: window, fifoSize: fifoSize, r: r, fifo: make([]uint32, fifoSize)}
 }
 
 func (p *PrIDE) Name() string { return fmt.Sprintf("pride-%d", p.window) }
@@ -200,15 +194,10 @@ type PARFM struct {
 // NewPARFM returns a PARFM tracker whose buffer covers a mitigation window
 // of bufSize activations.
 func NewPARFM(bufSize int, r *rng.Source) *PARFM {
-	return NewPARFMIn(nil, bufSize, r)
-}
-
-// NewPARFMIn is NewPARFM with the buffer carved from a (nil for the heap).
-func NewPARFMIn(a *arena.Arena, bufSize int, r *rng.Source) *PARFM {
 	if bufSize < 1 {
 		panic("tracker: invalid PARFM buffer size")
 	}
-	return &PARFM{bufSize: bufSize, r: r, buf: arena.Uint32s(a, bufSize)[:0]}
+	return &PARFM{bufSize: bufSize, r: r, buf: make([]uint32, 0, bufSize)}
 }
 
 func (p *PARFM) Name() string { return fmt.Sprintf("parfm-%d", p.bufSize) }
@@ -299,17 +288,10 @@ type Mithril struct {
 
 // NewMithril returns a Mithril tracker with the given entry budget.
 func NewMithril(entries int) *Mithril {
-	return NewMithrilIn(nil, entries)
-}
-
-// NewMithrilIn is NewMithril with the counter table carved from a (nil for
-// the heap).
-func NewMithrilIn(a *arena.Arena, entries int) *Mithril {
 	if entries < 1 {
 		panic("tracker: invalid Mithril entry count")
 	}
 	m := &Mithril{}
-	m.t.a = a
 	m.t.init(entries)
 	return m
 }
