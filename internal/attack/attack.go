@@ -127,7 +127,8 @@ type Report struct {
 
 // Run drives one bank with the pattern at the attacker's maximum rate —
 // one activation per tRC, pausing tRFC for each REF every tREFI — for
-// cfg.Acts activations.
+// cfg.Acts activations. Only that bank is built (dram.NewBank), so a run
+// allocates one audit ledger, not one per bank of the device.
 func Run(cfg Config, p Pattern) (Report, error) {
 	geo := mapping.Default()
 	tm := clk.DDR5()
@@ -174,9 +175,11 @@ func Run(cfg Config, p Pattern) (Report, error) {
 		return trk
 	}
 
-	dev := dram.NewDevice(dcfg)
-	bank := dev.Banks[0]
+	bank := dram.NewBank(dcfg, 0)
 	patRNG := rng.New(cfg.Seed ^ 0xa77ac4)
+	// A declined activation wastes its slot: the MC-style retry comes one
+	// mitigation time after the slot began, whose tRC the loop has added.
+	alertPenalty := tm.MitigationTime(4) - tm.TRC
 
 	now := clk.Tick(0)
 	nextREF := tm.TREFI
@@ -196,9 +199,7 @@ func Run(cfg Config, p Pattern) (Report, error) {
 		now += tm.TRC
 		if res.Alert {
 			rep.Alerts++
-			// The attacker's activation was declined; the slot is wasted
-			// and the MC-style retry happens after the mitigation time.
-			now += cfg.Timing().MitigationTime(4) - tm.TRC
+			now += alertPenalty
 			continue
 		}
 		rep.Acts++
@@ -223,9 +224,6 @@ func Run(cfg Config, p Pattern) (Report, error) {
 	rep.Failures = bank.Ledger.Failures
 	return rep, nil
 }
-
-// Timing exposes the harness timing (DDR5) for duration accounting.
-func (Config) Timing() clk.Timing { return clk.DDR5() }
 
 // MustRun is Run, panicking on configuration errors.
 func MustRun(cfg Config, p Pattern) Report {

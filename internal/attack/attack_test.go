@@ -261,3 +261,58 @@ func TestFMDamageDecaysWithDistance(t *testing.T) {
 		t.Fatalf("max damage %d under FM, want well below TRH-D", rep.MaxDamage)
 	}
 }
+
+// TestRunReportsPinned pins whole audit Reports across trackers, policies
+// and patterns, plus one blocking-RFM run, to values recorded from the
+// harness that built the full 64-bank device and drove bank 0. Any drift
+// in the single-bank harness, the bank pipeline or a policy shows here.
+func TestRunReportsPinned(t *testing.T) {
+	patterns := map[string]Pattern{
+		"double-sided": DoubleSided(90_000),
+		"half-double":  HalfDouble(64 * 1024),
+	}
+	cases := []struct {
+		tracker, policy, pattern string
+		blocking                 bool
+		want                     Report
+	}{
+		{"mint", "fractal", "double-sided", false, Report{Acts: 200000, Alerts: 97134, Mitigations: 50000, Transitive: 0, Refreshes: 200000, Failures: 0, MaxDamage: 38}},
+		{"mint", "fractal", "half-double", false, Report{Acts: 200000, Alerts: 97134, Mitigations: 50000, Transitive: 0, Refreshes: 200000, Failures: 0, MaxDamage: 27}},
+		{"mint", "recursive", "double-sided", false, Report{Acts: 200000, Alerts: 97134, Mitigations: 50000, Transitive: 9871, Refreshes: 200000, Failures: 0, MaxDamage: 52}},
+		{"mint", "recursive", "half-double", false, Report{Acts: 200000, Alerts: 97134, Mitigations: 50000, Transitive: 9871, Refreshes: 200000, Failures: 0, MaxDamage: 52}},
+		{"mint", "baseline", "double-sided", false, Report{Acts: 200000, Alerts: 97134, Mitigations: 50000, Transitive: 0, Refreshes: 200000, Failures: 336, MaxDamage: 147}},
+		{"mint", "baseline", "half-double", false, Report{Acts: 200000, Alerts: 97134, Mitigations: 50000, Transitive: 0, Refreshes: 200000, Failures: 674, MaxDamage: 147}},
+		{"pride", "fractal", "double-sided", false, Report{Acts: 200000, Alerts: 89476, Mitigations: 45733, Transitive: 0, Refreshes: 182932, Failures: 0, MaxDamage: 40}},
+		{"pride", "fractal", "half-double", false, Report{Acts: 200000, Alerts: 89476, Mitigations: 45733, Transitive: 0, Refreshes: 182932, Failures: 0, MaxDamage: 36}},
+		{"pride", "recursive", "double-sided", false, Report{Acts: 200000, Alerts: 89403, Mitigations: 45689, Transitive: 0, Refreshes: 182756, Failures: 307, MaxDamage: 147}},
+		{"pride", "recursive", "half-double", false, Report{Acts: 200000, Alerts: 89403, Mitigations: 45689, Transitive: 0, Refreshes: 182756, Failures: 616, MaxDamage: 147}},
+		{"pride", "baseline", "double-sided", false, Report{Acts: 200000, Alerts: 89403, Mitigations: 45689, Transitive: 0, Refreshes: 182756, Failures: 307, MaxDamage: 147}},
+		{"pride", "baseline", "half-double", false, Report{Acts: 200000, Alerts: 89403, Mitigations: 45689, Transitive: 0, Refreshes: 182756, Failures: 616, MaxDamage: 147}},
+		{"graphene", "fractal", "double-sided", false, Report{Acts: 200000, Alerts: 6104, Mitigations: 3124, Transitive: 0, Refreshes: 12496, Failures: 0, MaxDamage: 128}},
+		{"graphene", "fractal", "half-double", false, Report{Acts: 200000, Alerts: 6180, Mitigations: 3125, Transitive: 0, Refreshes: 12500, Failures: 0, MaxDamage: 65}},
+		{"graphene", "recursive", "double-sided", false, Report{Acts: 200000, Alerts: 6104, Mitigations: 3124, Transitive: 0, Refreshes: 12496, Failures: 20, MaxDamage: 147}},
+		{"graphene", "recursive", "half-double", false, Report{Acts: 200000, Alerts: 6180, Mitigations: 3125, Transitive: 0, Refreshes: 12500, Failures: 42, MaxDamage: 147}},
+		{"graphene", "baseline", "double-sided", false, Report{Acts: 200000, Alerts: 6104, Mitigations: 3124, Transitive: 0, Refreshes: 12496, Failures: 20, MaxDamage: 147}},
+		{"graphene", "baseline", "half-double", false, Report{Acts: 200000, Alerts: 6180, Mitigations: 3125, Transitive: 0, Refreshes: 12500, Failures: 42, MaxDamage: 147}},
+		{"mint", "fractal", "double-sided", true, Report{Acts: 200000, Alerts: 0, Mitigations: 49986, Transitive: 0, Refreshes: 199944, Failures: 0, MaxDamage: 42}},
+	}
+	for _, c := range cases {
+		got := MustRun(Config{TH: 4, Policy: c.policy, Tracker: c.tracker, TRHD: 74,
+			Acts: 200_000, Seed: 1, Blocking: c.blocking}, patterns[c.pattern])
+		if got != c.want {
+			t.Errorf("%s/%s/%s blocking=%v:\ngot  %+v\nwant %+v",
+				c.tracker, c.policy, c.pattern, c.blocking, got, c.want)
+		}
+	}
+}
+
+// BenchmarkAttackRun measures one audit run, MINT + Fractal under a
+// double-sided hammer, building its bank and ledger included.
+func BenchmarkAttackRun(b *testing.B) {
+	cfg := Config{TH: 4, Policy: "fractal", TRHD: 74, Acts: 200_000, Seed: 1}
+	p := DoubleSided(90_000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MustRun(cfg, p)
+	}
+}

@@ -62,8 +62,9 @@ type Config struct {
 	// PRACETh is the per-row counter value at which a PRAC device raises
 	// ABO. Required for ModePRAC.
 	PRACETh int
-	// Audit enables the per-row activation ledger on every bank (used by
-	// the security harness; costs time and memory, off for perf runs).
+	// Audit gives every bank a per-row activation ledger (costs time and
+	// memory, off for perf runs). The security harness builds the one bank
+	// it drives with NewBank, so it pays for one ledger, not one per bank.
 	Audit bool
 	// AuditThreshold is the single-sided activation count at which the
 	// ledger records a Rowhammer failure (TRH-S = 2 × TRH-D).
@@ -158,22 +159,36 @@ func NewDevice(cfg Config) *Device {
 	d := &Device{Cfg: cfg}
 	d.Banks = make([]*Bank, cfg.Geo.Banks)
 	for i := range d.Banks {
-		b := &Bank{ID: i, cfg: &d.Cfg}
-		b.buildPipeline(&d.Cfg)
-		if cfg.Mode == ModePRAC {
-			b.pracCounts = make([]uint32, cfg.Geo.RowsPerBank)
-		}
-		if cfg.Audit {
-			b.Ledger = NewLedger(cfg.Geo.RowsPerBank, cfg.AuditThreshold)
-		}
-		d.Banks[i] = b
+		d.Banks[i] = newBank(&d.Cfg, i)
 	}
 	return d
 }
 
+// NewBank builds bank id of the device cfg describes, on its own: the
+// result is bit-identical to NewDevice(cfg).Banks[id], without the cost of
+// the other banks' pipelines, PRAC counters and ledgers. The security
+// harness drives a single bank this way.
+func NewBank(cfg Config, id int) *Bank {
+	cfg.fillDefaults()
+	return newBank(&cfg, id)
+}
+
+// newBank builds bank id reading the shared device config cfg.
+func newBank(cfg *Config, id int) *Bank {
+	b := &Bank{ID: id, cfg: cfg}
+	b.buildPipeline(cfg)
+	if cfg.Mode == ModePRAC {
+		b.pracCounts = make([]uint32, cfg.Geo.RowsPerBank)
+	}
+	if cfg.Audit {
+		b.Ledger = NewLedger(cfg.Geo.RowsPerBank, cfg.AuditThreshold)
+	}
+	return b
+}
+
 // buildPipeline constructs the bank's fresh-state device pipeline — PRNG,
 // policy, tracker — and zeroes the per-run scalar state. It is the shared
-// core of NewDevice and Reset: both produce bit-identical bank state.
+// core of newBank and Reset: both produce bit-identical bank state.
 func (b *Bank) buildPipeline(cfg *Config) {
 	r := rng.New(cfg.Seed ^ (0xb1a5ed<<16 + uint64(b.ID)*0x9e37))
 	pol := cfg.NewPolicy(b.ID, r)
@@ -390,19 +405,4 @@ func (d *Device) TrackerTableStats() (live, budget int, spill int64) {
 		}
 	}
 	return live, budget, spill
-}
-
-// MaxDamage returns the worst per-row damage observed by any bank's ledger,
-// and the total number of audit failures. It panics if auditing is off.
-func (d *Device) MaxDamage() (max uint32, failures uint64) {
-	for _, b := range d.Banks {
-		if b.Ledger == nil {
-			panic("dram: MaxDamage without Audit enabled")
-		}
-		if b.Ledger.MaxDamage > max {
-			max = b.Ledger.MaxDamage
-		}
-		failures += b.Ledger.Failures
-	}
-	return max, failures
 }

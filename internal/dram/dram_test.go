@@ -283,16 +283,6 @@ func TestTotalStats(t *testing.T) {
 	}
 }
 
-func TestMaxDamagePanicsWithoutAudit(t *testing.T) {
-	d := NewDevice(autoCfg(4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MaxDamage without audit did not panic")
-		}
-	}()
-	d.MaxDamage()
-}
-
 // TestREFAwareTrackerReceivesOnREF: REF-aware trackers (TWiCe) are aged by
 // every REF command the bank executes.
 func TestREFAwareTrackerReceivesOnREF(t *testing.T) {
@@ -326,18 +316,8 @@ func TestDeviceResetMatchesNew(t *testing.T) {
 		used := autoCfg(4)
 		used.Mode, used.PRACETh, used.Audit, used.AuditThreshold = mode, 8, true, 100
 		d := NewDevice(used)
-		for i := 0; i < 400; i++ {
-			b := d.Banks[i%4]
-			res := b.Activate(clk.Tick(i), uint32(i%5*1000))
-			if res.WindowClosed {
-				b.StartPendingMitigation(clk.Tick(i))
-			}
-			if res.ABO {
-				b.ExecutePRACBackoff()
-			}
-			if i%50 == 0 {
-				b.ExecuteREF(uint64(i))
-			}
+		for _, b := range d.Banks[:4] {
+			exercise(b)
 		}
 		if st := d.TotalStats(); st.Mitigations == 0 {
 			t.Fatalf("%v: exercise performed no mitigations", mode)
@@ -371,6 +351,100 @@ func TestDeviceResetMatchesNew(t *testing.T) {
 		mut(&other)
 		if NewDevice(base).Reset(other) {
 			t.Errorf("Reset accepted a %s change", name)
+		}
+	}
+}
+
+// exercise drives b through activations, window-closing and RFM
+// mitigations, PRAC back-offs and REFs, whichever its mode uses. Seven
+// rows share 400 ACTs, so at PRACETh 8 their counters end nonzero.
+func exercise(b *Bank) {
+	for i := 0; i < 400; i++ {
+		res := b.Activate(clk.Tick(i), uint32(i%7*1000))
+		if res.WindowClosed {
+			b.StartPendingMitigation(clk.Tick(i))
+		}
+		if res.ABO {
+			b.ExecutePRACBackoff()
+		}
+		if i%50 == 0 {
+			b.ExecuteREF(uint64(i))
+		}
+		if i%16 == 0 && b.cfg.Mode == ModeRFM {
+			b.ExecuteRFM()
+		}
+	}
+}
+
+// TestNewBankMatchesDevice pins NewBank to the bank NewDevice builds at the
+// same index: pipeline, PRNG state, scalar state, stats, PRAC counters and
+// ledger are equal when built and stay equal under the same commands.
+func TestNewBankMatchesDevice(t *testing.T) {
+	for _, mode := range []Mode{ModeAutoRFM, ModeRFM, ModePRAC} {
+		cfg := autoCfg(0) // NewBank must fill the default TH as NewDevice does
+		cfg.Mode, cfg.PRACETh, cfg.Audit, cfg.AuditThreshold = mode, 8, true, 100
+		for _, id := range []int{0, 63} {
+			got, want := NewBank(cfg, id), NewDevice(cfg).Banks[id]
+			gotCfg, wantCfg := *got.cfg, *want.cfg
+			gotCfg.NewTracker, gotCfg.NewPolicy = nil, nil
+			wantCfg.NewTracker, wantCfg.NewPolicy = nil, nil
+			if !reflect.DeepEqual(gotCfg, wantCfg) {
+				t.Fatalf("%v bank %d: config\ngot:  %+v\nwant: %+v", mode, id, gotCfg, wantCfg)
+			}
+			for _, phase := range []string{"built", "exercised"} {
+				if phase == "exercised" {
+					exercise(got)
+					exercise(want)
+					if got.Stats.Mitigations == 0 {
+						t.Fatalf("%v bank %d: exercise performed no mitigations", mode, id)
+					}
+				}
+				g, w := *got, *want
+				g.cfg, w.cfg = nil, nil // compared above
+				if !reflect.DeepEqual(g, w) {
+					t.Fatalf("%v bank %d %s: NewBank differs from NewDevice\ngot:  %+v\nwant: %+v", mode, id, phase, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestMitigationPathZeroAllocs pins the audited mitigation path off the
+// heap for every built-in policy: steady-state activations, the window
+// mitigation they trigger (tracker selection, victim lookup, ledger
+// refreshes) and REFs allocate nothing.
+func TestMitigationPathZeroAllocs(t *testing.T) {
+	tm := clk.DDR5()
+	for _, name := range []string{"fractal", "recursive", "baseline"} {
+		cfg := autoCfg(4)
+		cfg.Audit, cfg.AuditThreshold = true, 148
+		cfg.NewPolicy = func(_ int, r *rng.Source) mitigation.Policy {
+			p, err := mitigation.ByName(name, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		b := NewBank(cfg, 0)
+		now, row, ref := clk.Tick(0), uint32(0), uint64(0)
+		avg := testing.AllocsPerRun(2000, func() {
+			for i := 0; i < 4; i++ {
+				res := b.Activate(now, row%(1<<17))
+				row += 4099
+				now += tm.TRC
+				if res.WindowClosed {
+					b.StartPendingMitigation(now + tm.TRAS)
+					now += tm.MitigationTime(4)
+				}
+			}
+			ref++
+			b.ExecuteREF(ref)
+		})
+		if avg != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, avg)
+		}
+		if b.Stats.Mitigations == 0 || b.Stats.VictimRefreshes == 0 {
+			t.Fatalf("%s: loop performed no mitigations", name)
 		}
 	}
 }

@@ -11,7 +11,9 @@ type Policy interface {
 	Name() string
 	// Victims returns the rows to refresh for the given selection. Rows
 	// outside [0, rowsPerBank) are clamped away (edge-of-bank aggressors
-	// simply refresh fewer victims).
+	// simply refresh fewer victims). The returned slice belongs to the
+	// policy and is valid only until its next Victims call: callers use it
+	// at once and copy it to keep it.
 	Victims(sel tracker.Selection, rowsPerBank int) []uint32
 	// NumRefreshes is the maximum victim refreshes per mitigation, which
 	// determines the mitigation latency (NumRefreshes × tRC).
@@ -37,23 +39,23 @@ func neighbors(dst []uint32, row uint32, d int, rowsPerBank int) []uint32 {
 // Baseline always refreshes the four rows within blast radius 2 (±1, ±2).
 // It is what Section IV assumes before transitive attacks are considered,
 // and is vulnerable to Half-Double at low thresholds.
-type Baseline struct{}
+type Baseline struct {
+	buf [4]uint32 // backs the slice Victims returns
+}
 
 // NewBaseline returns the blast-radius-2 policy.
-func NewBaseline() Baseline { return Baseline{} }
+func NewBaseline() *Baseline { return &Baseline{} }
 
-func (Baseline) Name() string      { return "baseline" }
-func (Baseline) NumRefreshes() int { return 4 }
-func (Baseline) Recursive() bool   { return false }
+func (*Baseline) Name() string      { return "baseline" }
+func (*Baseline) NumRefreshes() int { return 4 }
+func (*Baseline) Recursive() bool   { return false }
 
-func (Baseline) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
+func (b *Baseline) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 	if !sel.OK {
 		return nil
 	}
-	v := make([]uint32, 0, 4)
-	v = neighbors(v, sel.Row, 1, rowsPerBank)
-	v = neighbors(v, sel.Row, 2, rowsPerBank)
-	return v
+	v := neighbors(b.buf[:0], sel.Row, 1, rowsPerBank)
+	return neighbors(v, sel.Row, 2, rowsPerBank)
 }
 
 // Recursive implements the defence of Section V-B / Fig 9(b): a level-L
@@ -63,16 +65,18 @@ func (Baseline) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 // and so on. The escalation is driven by the tracker's reserved slot
 // (MINT's W+1 mode), so the same subarray can stay busy for several
 // consecutive windows — the non-determinism Fractal Mitigation eliminates.
-type Recursive struct{}
+type Recursive struct {
+	buf [4]uint32 // backs the slice Victims returns
+}
 
 // NewRecursive returns the recursive-mitigation policy.
-func NewRecursive() Recursive { return Recursive{} }
+func NewRecursive() *Recursive { return &Recursive{} }
 
-func (Recursive) Name() string      { return "recursive" }
-func (Recursive) NumRefreshes() int { return 4 }
-func (Recursive) Recursive() bool   { return true }
+func (*Recursive) Name() string      { return "recursive" }
+func (*Recursive) NumRefreshes() int { return 4 }
+func (*Recursive) Recursive() bool   { return true }
 
-func (Recursive) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
+func (p *Recursive) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 	if !sel.OK {
 		return nil
 	}
@@ -80,10 +84,8 @@ func (Recursive) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 	if level < 1 {
 		level = 1
 	}
-	v := make([]uint32, 0, 4)
-	v = neighbors(v, sel.Row, 2*level-1, rowsPerBank)
-	v = neighbors(v, sel.Row, 2*level, rowsPerBank)
-	return v
+	v := neighbors(p.buf[:0], sel.Row, 2*level-1, rowsPerBank)
+	return neighbors(v, sel.Row, 2*level, rowsPerBank)
 }
 
 // Fractal implements Fractal Mitigation (Section V-C, Fig 10): the immediate
@@ -93,7 +95,8 @@ func (Recursive) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 // are issued per mitigation and no recursive follow-up is ever required, so
 // the subarray is busy for a deterministic 4×tRC.
 type Fractal struct {
-	r *rng.Source
+	r   *rng.Source
+	buf [4]uint32 // backs the slice Victims returns
 
 	// DistanceCounts records how often each distance was refreshed; exported
 	// for the security-validation tests of the 2^(1-d) law. Distances are
@@ -116,10 +119,8 @@ func (f *Fractal) Victims(sel tracker.Selection, rowsPerBank int) []uint32 {
 	if !sel.OK {
 		return nil
 	}
-	v := make([]uint32, 0, 4)
-	v = neighbors(v, sel.Row, 1, rowsPerBank)
+	v := neighbors(f.buf[:0], sel.Row, 1, rowsPerBank)
 	d := rng.FractalDistance(f.r.Uint16())
 	f.DistanceCounts[d]++
-	v = neighbors(v, sel.Row, d, rowsPerBank)
-	return v
+	return neighbors(v, sel.Row, d, rowsPerBank)
 }
