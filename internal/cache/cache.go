@@ -238,6 +238,48 @@ func (c *Cache) Reset(mc *memctrl.Controller) {
 		c.dirty[i] = false
 	}
 	c.tick = 0
+	c.rebind(mc)
+}
+
+// Snapshot is a copy of a cache's way state: tags, LRU stamps, dirty bits
+// and the LRU clock. It holds no MSHR, stream-detector or stats state.
+type Snapshot struct {
+	tags  []uint64
+	lru   []uint64
+	dirty []bool
+	tick  uint64
+}
+
+// Snapshot copies the cache's way state, for Restore to load back into this
+// or any other cache of the same geometry.
+func (c *Cache) Snapshot() Snapshot {
+	return Snapshot{
+		tags:  append([]uint64(nil), c.tags...),
+		lru:   append([]uint64(nil), c.lru...),
+		dirty: append([]bool(nil), c.dirty...),
+		tick:  c.tick,
+	}
+}
+
+// Restore loads s into the cache and rebinds it to mc: the way state is
+// copied back, and the MSHRs, stream detector and stats are reset as Reset
+// resets them. A snapshot of a freshly warmed cache therefore restores
+// exactly the state Reset followed by the same Warm calls builds. It
+// allocates nothing.
+func (c *Cache) Restore(s Snapshot, mc *memctrl.Controller) {
+	if len(s.tags) != len(c.tags) {
+		panic("cache: snapshot size differs from the cache")
+	}
+	copy(c.tags, s.tags)
+	copy(c.lru, s.lru)
+	copy(c.dirty, s.dirty)
+	c.tick = s.tick
+	c.rebind(mc)
+}
+
+// rebind attaches the cache to mc and drops all per-run state other than
+// the way arrays: outstanding MSHRs, the stream detector and the stats.
+func (c *Cache) rebind(mc *memctrl.Controller) {
 	c.mc = mc
 	c.out.drain(func(m *mshr) {
 		m.waiters = m.waiters[:0]

@@ -151,6 +151,11 @@ type Bank struct {
 type Device struct {
 	Cfg   Config
 	Banks []*Bank
+
+	// prac holds every bank's PRAC counters back to back, allocated the
+	// first time the device is in ModePRAC and kept across mode changes;
+	// each bank's pracCounts is its slice of it while in ModePRAC.
+	prac []uint32
 }
 
 // NewDevice builds the device: one tracker, policy and PRNG per bank.
@@ -161,7 +166,24 @@ func NewDevice(cfg Config) *Device {
 	for i := range d.Banks {
 		d.Banks[i] = newBank(&d.Cfg, i)
 	}
+	d.slicePRAC()
 	return d
+}
+
+// slicePRAC hands each bank its slice of the device's PRAC counter buffer
+// in ModePRAC, allocating the buffer if the device has none, and takes the
+// slices away in any other mode. It leaves the counter values as they are.
+func (d *Device) slicePRAC() {
+	rows := d.Cfg.Geo.RowsPerBank
+	if d.Cfg.Mode == ModePRAC && d.prac == nil {
+		d.prac = make([]uint32, len(d.Banks)*rows)
+	}
+	for i, b := range d.Banks {
+		b.pracCounts = nil
+		if d.Cfg.Mode == ModePRAC {
+			b.pracCounts = d.prac[i*rows : (i+1)*rows : (i+1)*rows]
+		}
+	}
 }
 
 // NewBank builds bank id of the device cfg describes, on its own: the
@@ -170,16 +192,18 @@ func NewDevice(cfg Config) *Device {
 // harness drives a single bank this way.
 func NewBank(cfg Config, id int) *Bank {
 	cfg.fillDefaults()
-	return newBank(&cfg, id)
-}
-
-// newBank builds bank id reading the shared device config cfg.
-func newBank(cfg *Config, id int) *Bank {
-	b := &Bank{ID: id, cfg: cfg}
-	b.buildPipeline(cfg)
+	b := newBank(&cfg, id)
 	if cfg.Mode == ModePRAC {
 		b.pracCounts = make([]uint32, cfg.Geo.RowsPerBank)
 	}
+	return b
+}
+
+// newBank builds bank id reading the shared device config cfg, without its
+// PRAC counters: the caller provides those.
+func newBank(cfg *Config, id int) *Bank {
+	b := &Bank{ID: id, cfg: cfg}
+	b.buildPipeline(cfg)
 	if cfg.Audit {
 		b.Ledger = NewLedger(cfg.Geo.RowsPerBank, cfg.AuditThreshold)
 	}
@@ -206,24 +230,28 @@ func (b *Bank) buildPipeline(cfg *Config) {
 }
 
 // Reset reinitialises the device for cfg, reusing its biggest allocations —
-// the per-bank PRAC counter arrays and audit ledgers — instead of
+// the PRAC counter buffer and the per-bank audit ledgers — instead of
 // reallocating them, and reports whether it could. Reuse requires the same
-// geometry, mode, and audit setting (those decide which arrays exist and
-// how large they are); everything else — seed, TH, tracker/policy
-// constructors, trace attachment — is replaced wholesale, and the per-bank
-// pipelines are rebuilt from the new constructors, so the post-Reset device
-// is bit-identical to NewDevice(cfg) (pinned by TestDeviceResetMatchesNew).
+// geometry and audit setting (those decide how large the arrays are and
+// whether ledgers exist). The mode may change: the PRAC counter buffer is
+// kept while the device is in another mode, cleared on a Reset into
+// ModePRAC, and allocated by the first one if the device has never been in
+// ModePRAC. Everything else — seed, TH, tracker/policy constructors, trace
+// attachment — is replaced wholesale, and the per-bank pipelines are
+// rebuilt from the new constructors, so the post-Reset device is
+// bit-identical to NewDevice(cfg) (pinned by TestDeviceResetMatchesNew).
 func (d *Device) Reset(cfg Config) bool {
 	cfg.fillDefaults()
-	if cfg.Geo != d.Cfg.Geo || cfg.Mode != d.Cfg.Mode || cfg.Audit != d.Cfg.Audit {
+	if cfg.Geo != d.Cfg.Geo || cfg.Audit != d.Cfg.Audit {
 		return false
 	}
 	d.Cfg = cfg
+	if cfg.Mode == ModePRAC {
+		clear(d.prac)
+	}
+	d.slicePRAC()
 	for _, b := range d.Banks {
 		b.buildPipeline(&d.Cfg)
-		for i := range b.pracCounts {
-			b.pracCounts[i] = 0
-		}
 		if b.Ledger != nil {
 			b.Ledger.threshold = cfg.AuditThreshold
 			b.Ledger.Reset()

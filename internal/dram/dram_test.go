@@ -307,36 +307,51 @@ func TestREFAwareTrackerReceivesOnREF(t *testing.T) {
 }
 
 // TestDeviceResetMatchesNew pins the warm-reuse contract of Device.Reset: a
-// used device Reset to a new seed and threshold carries exactly the state
-// NewDevice builds for that config — per-bank tracker, policy and PRNG,
-// scalar window/SAUM/ABO state, stats, PRAC counters and audit ledgers —
-// and a config needing differently shaped arrays is refused.
+// used device Reset to a new seed, threshold and possibly a new mode
+// carries exactly the state NewDevice builds for that config — per-bank
+// tracker, policy and PRNG, scalar window/SAUM/ABO state, stats, PRAC
+// counters and audit ledgers — and a config needing differently shaped
+// arrays is refused. A device keeps its PRAC counter buffer across modes.
 func TestDeviceResetMatchesNew(t *testing.T) {
-	for _, mode := range []Mode{ModeAutoRFM, ModePRAC} {
-		used := autoCfg(4)
-		used.Mode, used.PRACETh, used.Audit, used.AuditThreshold = mode, 8, true, 100
-		d := NewDevice(used)
-		for _, b := range d.Banks[:4] {
-			exercise(b)
-		}
-		if st := d.TotalStats(); st.Mitigations == 0 {
-			t.Fatalf("%v: exercise performed no mitigations", mode)
-		}
+	for _, modes := range [][]Mode{
+		{ModeAutoRFM, ModeAutoRFM},
+		{ModePRAC, ModePRAC},
+		{ModeAutoRFM, ModePRAC},
+		{ModePRAC, ModeRFM},
+		{ModePRAC, ModeAutoRFM, ModePRAC},
+	} {
+		cfg := autoCfg(4)
+		cfg.Mode, cfg.PRACETh, cfg.Audit, cfg.AuditThreshold = modes[0], 8, true, 100
+		d := NewDevice(cfg)
+		for step, mode := range modes[1:] {
+			for _, b := range d.Banks[:4] {
+				exercise(b)
+			}
+			if st := d.TotalStats(); st.Mitigations == 0 {
+				t.Fatalf("%v step %d: exercise performed no mitigations", modes, step)
+			}
+			prac := d.prac
 
-		next := used
-		next.Seed, next.TH, next.PRACETh, next.AuditThreshold = 99, 8, 16, 200
-		if !d.Reset(next) {
-			t.Fatalf("%v: Reset refused a same-shape config", mode)
-		}
-		fresh := NewDevice(next)
-		if d.Cfg.Seed != fresh.Cfg.Seed || d.Cfg.TH != fresh.Cfg.TH || d.Cfg.PRACETh != fresh.Cfg.PRACETh {
-			t.Fatalf("%v: Reset kept the old config: %+v", mode, d.Cfg)
-		}
-		for i := range fresh.Banks {
-			got, want := *d.Banks[i], *fresh.Banks[i]
-			got.cfg, want.cfg = nil, nil // config hooks are funcs; compared above
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v bank %d: Reset state differs from NewDevice\ngot:  %+v\nwant: %+v", mode, i, got, want)
+			cfg.Mode = mode
+			cfg.Seed, cfg.TH, cfg.PRACETh, cfg.AuditThreshold = 99+uint64(step), 8, 16, 200
+			if !d.Reset(cfg) {
+				t.Fatalf("%v step %d: Reset refused a same-shape config", modes, step)
+			}
+			if prac != nil && &d.prac[0] != &prac[0] {
+				t.Fatalf("%v step %d: Reset reallocated the PRAC counters", modes, step)
+			}
+			fresh := NewDevice(cfg)
+			if d.Cfg.Mode != mode || d.Cfg.Seed != fresh.Cfg.Seed || d.Cfg.TH != fresh.Cfg.TH ||
+				d.Cfg.PRACETh != fresh.Cfg.PRACETh {
+				t.Fatalf("%v step %d: Reset kept the old config: %+v", modes, step, d.Cfg)
+			}
+			for i := range fresh.Banks {
+				got, want := *d.Banks[i], *fresh.Banks[i]
+				got.cfg, want.cfg = nil, nil // config hooks are funcs; compared above
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v step %d bank %d: Reset state differs from NewDevice\ngot:  %+v\nwant: %+v",
+						modes, step, i, got, want)
+				}
 			}
 		}
 	}
@@ -344,7 +359,6 @@ func TestDeviceResetMatchesNew(t *testing.T) {
 	base := autoCfg(4)
 	for name, mut := range map[string]func(*Config){
 		"geometry": func(c *Config) { c.Geo.RowsPerBank /= 2 },
-		"mode":     func(c *Config) { c.Mode = ModePRAC },
 		"audit":    func(c *Config) { c.Audit = true },
 	} {
 		other := base

@@ -322,11 +322,14 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // Machine is a reusable simulation allocation: the event queue, the LLC's
-// structure-of-arrays state, and the DRAM device's largest arrays (PRAC
-// counters, audit ledgers) survive from run to run and are Reset instead of
-// reconstructed. Sweeps that run many seeds of one configuration
-// (fig1d-style) avoid rebuilding ~3MB of state per run; a Machine run is
-// byte-identical to a fresh Run (pinned by TestMachineReuseMatchesFresh).
+// structure-of-arrays state (about 2 MiB at the default LLC), and the DRAM
+// device's largest arrays (the PRAC counter buffer, 32 MiB at the default
+// geometry and kept across mode changes, and the audit ledgers) survive
+// from run to run and are Reset instead of reconstructed. The machine also keeps snapshots of the
+// prewarmed LLC, one per warm key (see warmKey) seen at least twice, up to
+// maxSnapshots, and restores a snapshot instead of prewarming again. A
+// Machine run is byte-identical to a fresh Run (pinned by
+// TestMachineReuseMatchesFresh).
 //
 // The zero value is ready to use; each Run warms it further. A Machine is
 // not safe for concurrent use — give each worker goroutine its own.
@@ -337,8 +340,36 @@ type Machine struct {
 	dev    *dram.Device
 	// dirty marks a run in flight; if a run panics or is cancelled the warm
 	// state is mid-run garbage, so the machine's next run drops it and
-	// builds fresh.
+	// builds fresh. Snapshots are copies taken before any run used them, so
+	// they survive.
 	dirty bool
+
+	// seen holds the warm keys prewarmed once and not yet snapshotted;
+	// snaps holds the snapshots of keys prewarmed a second time.
+	seen  map[warmKey]bool
+	snaps map[warmKey]cache.Snapshot
+}
+
+// maxSnapshots caps the LLC snapshots a machine keeps: about 68 MiB at the
+// default LLC. maxSeen bounds the once-seen keys it remembers; past it the
+// machine forgets them all and starts counting afresh.
+const (
+	maxSnapshots = 32
+	maxSeen      = 1024
+)
+
+// warmKey is everything prewarm's result depends on — seed, core count,
+// workload and LLC geometry — so one snapshot serves every run with the same
+// key, whatever its mode, tracker, mapping or threshold. It holds the whole
+// workload profile, though prewarm reads only FootprintMB and WriteFrac: a
+// sweep over many workloads would otherwise share snapshots between
+// unrelated workloads that happen to agree on those two fields, and take a
+// snapshot for keys it restores once or never.
+type warmKey struct {
+	seed                  uint64
+	cores                 int
+	workload              workload.Profile
+	size, ways, lineBytes int
 }
 
 // prepared is the seed-independent part of a run's construction: geometry,
@@ -535,14 +566,12 @@ func (m *Machine) start(cfg Config, pre *prepared) (*machineRun, error) {
 	} else if cfg.PrefetchDegree < 0 {
 		llcCfg.PrefetchDegree = 0
 	}
-	if m.llc != nil && m.llcCfg == llcCfg {
-		m.llc.Reset(r.mc)
-	} else {
+	if m.llc == nil || m.llcCfg != llcCfg {
 		m.llc = cache.New(llcCfg, r.mc, q)
 		m.llcCfg = llcCfg
 	}
+	m.warm(&cfg, r.mc)
 	llc := m.llc
-	prewarm(llc, llcCfg, cfg)
 
 	r.remaining = cfg.Cores
 	coreFinished := func() { r.remaining-- }
@@ -665,6 +694,36 @@ func telemetrySnapshot(mc *memctrl.Controller, dev *dram.Device) (telemetry.Coun
 	g.QueueDepth, g.QueueDepthMax = mc.QueueDepths()
 	g.TrackerLive, g.TrackerBudget, g.TrackerSpill = dev.TrackerTableStats()
 	return c, g
+}
+
+// warm brings the machine's LLC to its prewarmed state for cfg and binds it
+// to mc. It restores the snapshot of cfg's warm key when the machine holds
+// one; otherwise it resets and prewarms the LLC, and snapshots the result if
+// this is the key's second sighting and the machine holds fewer than
+// maxSnapshots. A key seen only once therefore costs no copy.
+func (m *Machine) warm(cfg *Config, mc *memctrl.Controller) {
+	k := warmKey{seed: cfg.Seed, cores: cfg.Cores, workload: cfg.Workload,
+		size: m.llcCfg.SizeBytes, ways: m.llcCfg.Ways, lineBytes: m.llcCfg.LineBytes}
+	if s, ok := m.snaps[k]; ok {
+		m.llc.Restore(s, mc)
+		return
+	}
+	m.llc.Reset(mc)
+	prewarm(m.llc, m.llcCfg, *cfg)
+	switch {
+	case len(m.snaps) >= maxSnapshots: // full: prewarm every key it lacks
+	case m.seen[k]:
+		delete(m.seen, k)
+		if m.snaps == nil {
+			m.snaps = make(map[warmKey]cache.Snapshot)
+		}
+		m.snaps[k] = m.llc.Snapshot()
+	default:
+		if m.seen == nil || len(m.seen) >= maxSeen {
+			m.seen = make(map[warmKey]bool)
+		}
+		m.seen[k] = true
+	}
 }
 
 // prewarm fills the LLC to steady-state occupancy so short slices see the

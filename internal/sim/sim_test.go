@@ -6,9 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"autorfm/internal/cache"
 	"autorfm/internal/clk"
 	"autorfm/internal/cpu"
 	"autorfm/internal/dram"
+	"autorfm/internal/event"
 	"autorfm/internal/fault"
 	"autorfm/internal/workload"
 )
@@ -326,19 +328,58 @@ func diffProfile(name string) workload.Profile {
 }
 
 // TestMachineReuseMatchesFresh pins the warm-reuse contract: a Machine
-// reused across seeds — and across incompatible configs, which force a
-// partial rebuild — produces identical Results to fresh construction.
+// reused across seeds, workloads and modes — resetting its device across a
+// mode change, and restoring LLC snapshots where it holds them — produces
+// identical Results to fresh construction. snaps is the number of LLC
+// snapshots the machine holds after each step: a warm key's first sighting
+// takes none, its second takes one, later ones restore it.
 func TestMachineReuseMatchesFresh(t *testing.T) {
-	seq := []Config{
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 1},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 2},
-		{Workload: diffProfile("lbm"), InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: 3},
-		// Mode change: device reuse is incompatible, machine must rebuild.
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 4},
-		{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: 5},
+	bwaves, lbm := diffProfile("bwaves"), diffProfile("lbm")
+	// A copy of bwaves under another name warms identically, but is a
+	// different workload and must not share bwaves' snapshot.
+	renamed := bwaves
+	renamed.Name = "bwaves-copy"
+	auto := func(w workload.Profile, seed uint64) Config {
+		return Config{Workload: w, InstructionsPerCore: 10_000, Mode: dram.ModeAutoRFM, TH: 4, Seed: seed}
+	}
+	prac := func(w workload.Profile, seed uint64) Config {
+		return Config{Workload: w, InstructionsPerCore: 10_000, Mode: dram.ModePRAC, PRACETh: 16, Seed: seed}
+	}
+	seq := []struct {
+		cfg   Config
+		snaps int
+	}{
+		{auto(bwaves, 1), 0},
+		{auto(bwaves, 2), 0},
+		{auto(lbm, 3), 0},
+		// Mode change: the device is Reset into PRAC mode and allocates its
+		// PRAC counter buffer.
+		{prac(bwaves, 4), 0},
+		{prac(bwaves, 5), 0},
+		// One config three times: the second run snapshots, the third restores.
+		{auto(lbm, 6), 0},
+		{auto(lbm, 6), 1},
+		{auto(lbm, 6), 1},
+		// Two keys interleaved.
+		{auto(bwaves, 7), 1},
+		{auto(lbm, 7), 1},
+		{auto(bwaves, 7), 2},
+		{auto(lbm, 7), 3},
+		{auto(bwaves, 7), 3},
+		{auto(lbm, 7), 3},
+		// The renamed copy is a key of its own.
+		{auto(renamed, 7), 3},
+		{auto(renamed, 7), 4},
+		// PRAC -> AutoRFM -> PRAC on a restored key: the PRAC counter
+		// buffer is kept across the flip and cleared on the way back.
+		{prac(bwaves, 7), 4},
+		{auto(bwaves, 7), 4},
+		{prac(bwaves, 7), 4},
 	}
 	var m Machine
-	for i, cfg := range seq {
+	var dev *dram.Device
+	for i, step := range seq {
+		cfg := step.cfg
 		fresh, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("step %d fresh: %v", i, err)
@@ -348,21 +389,78 @@ func TestMachineReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("step %d reused: %v", i, err)
 		}
 		if !reflect.DeepEqual(reused, fresh) {
-			t.Fatalf("step %d (%s seed %d): machine-reuse Result diverges from fresh",
-				i, cfg.Workload.Name, cfg.Seed)
+			t.Fatalf("step %d (%s %v seed %d): machine-reuse Result diverges from fresh",
+				i, cfg.Workload.Name, cfg.Mode, cfg.Seed)
 		}
+		if len(m.snaps) != step.snaps {
+			t.Fatalf("step %d (%s seed %d): machine holds %d snapshots, want %d",
+				i, cfg.Workload.Name, cfg.Seed, len(m.snaps), step.snaps)
+		}
+		// No step changes the geometry or audit setting, so every mode
+		// change must Reset the first device, not build a new one.
+		if i == 0 {
+			dev = m.dev
+		} else if m.dev != dev {
+			t.Fatalf("step %d (%v): machine rebuilt its device", i, cfg.Mode)
+		}
+	}
+}
+
+// TestMachineSnapshotCap pins the snapshot admission bounds: past
+// maxSnapshots a machine takes no more snapshots, still restores the ones it
+// holds, and stops counting sightings; it never remembers more than maxSeen
+// once-seen keys.
+func TestMachineSnapshotCap(t *testing.T) {
+	small := cache.Config{SizeBytes: 64 << 10, Ways: 16, LineBytes: 64}
+	m := Machine{llc: cache.New(small, nil, &event.Queue{}), llcCfg: small}
+	cfg := warmConfig()
+	for seed := uint64(0); seed < maxSnapshots+4; seed++ {
+		cfg.Seed = seed
+		m.warm(&cfg, nil)
+		m.warm(&cfg, nil)
+	}
+	if len(m.snaps) != maxSnapshots || len(m.seen) != 0 {
+		t.Fatalf("after %d keys seen twice: %d snapshots, %d once-seen keys; want %d and 0",
+			maxSnapshots+4, len(m.snaps), len(m.seen), maxSnapshots)
+	}
+	cfg.Seed = 0
+	m.warm(&cfg, nil)
+	want := cache.New(small, nil, &event.Queue{})
+	prewarm(want, small, cfg)
+	if !reflect.DeepEqual(m.llc.Snapshot(), want.Snapshot()) {
+		t.Fatal("restored LLC differs from a prewarmed one")
+	}
+
+	m = Machine{llc: cache.New(small, nil, &event.Queue{}), llcCfg: small}
+	for seed := uint64(0); seed <= maxSeen; seed++ {
+		cfg.Seed = seed
+		m.warm(&cfg, nil)
+		if len(m.seen) > maxSeen {
+			t.Fatalf("machine remembers %d once-seen keys, cap %d", len(m.seen), maxSeen)
+		}
+	}
+	if len(m.snaps) != 0 {
+		t.Fatalf("keys seen once took %d snapshots", len(m.snaps))
 	}
 }
 
 // TestMachineDropsStateAfterPanic pins the poisoning contract: a run that
 // panics mid-simulation leaves the machine dirty, and the next run builds
-// fresh state rather than resuming from garbage.
+// fresh state rather than resuming from garbage, while restoring the LLC
+// from the snapshot taken before the panic.
 func TestMachineDropsStateAfterPanic(t *testing.T) {
 	var m Machine
 	good := Config{Workload: diffProfile("bwaves"), InstructionsPerCore: 10_000,
 		Mode: dram.ModeAutoRFM, TH: 4, Seed: 11}
-	if _, err := m.Run(good); err != nil {
-		t.Fatal(err)
+	// Run good twice so the machine holds its LLC snapshot, which the
+	// poisoned run must not spoil.
+	for i := 0; i < 2; i++ {
+		if _, err := m.Run(good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.snaps) != 1 {
+		t.Fatalf("machine holds %d snapshots after two runs of one key, want 1", len(m.snaps))
 	}
 	bad := good
 	bad.Fault = fault.Config{Seed: 3, PanicAfterActs: 50}
