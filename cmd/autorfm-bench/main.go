@@ -233,15 +233,12 @@ func run() int {
 	pool := runner.New(*jobs)
 	pool.JobTimeout = *timeout
 
-	// Live introspection: -http serves expvar (the autorfm.sweep snapshot
-	// below) and net/http/pprof for the lifetime of the sweep.
-	var sweep *telemetry.SweepStatus
+	// Live introspection: -http serves expvar (the autorfm.sweep gauges,
+	// read from the pool at scrape time), their Prometheus text mirror and
+	// net/http/pprof for the lifetime of the sweep.
 	if *httpAddr != "" {
-		sweep = telemetry.NewSweepStatus()
-		telemetry.PublishSweep(sweep)
-		// Prometheus text-format mirror of the expvar snapshot, on the same
-		// DefaultServeMux ServeIntrospection serves.
-		http.Handle("/metrics", obs.SweepMetricsHandler(sweep))
+		obs.Publish("autorfm.sweep", func() any { return obs.Sweep(pool.Progress()) })
+		http.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric { return obs.Sweep(pool.Progress()).Metrics() }))
 		addr, err := telemetry.ServeIntrospection(*httpAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -249,14 +246,8 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "introspection: http://%s/debug/vars http://%s/metrics http://%s/debug/pprof/\n", addr, addr, addr)
 	}
-	if !*quiet || sweep != nil {
+	if !*quiet {
 		pool.OnProgress = func(p runner.Progress) {
-			if sweep != nil {
-				sweep.Update(p.Done, p.Total, p.CacheHits, p.Failed, p.Events, p.Elapsed, p.SimElapsed, p.ETA)
-			}
-			if *quiet {
-				return
-			}
 			eta := ""
 			if p.ETA > 0 {
 				eta = fmt.Sprintf("  eta %v", p.ETA.Round(time.Second))

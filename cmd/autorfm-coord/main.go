@@ -18,7 +18,6 @@ import (
 	"autorfm/internal/dist"
 	"autorfm/internal/fault"
 	"autorfm/internal/obs"
-	"autorfm/internal/telemetry"
 )
 
 func main() {
@@ -125,15 +124,12 @@ func run() int {
 	coord := dist.NewCoordinator(store)
 	coord.LeaseTTL = *leaseTTL
 	coord.MaxLeasesPerJob = *maxLeases
-	coord.Status = telemetry.NewCoordStatus()
-	telemetry.PublishCoord(coord.Status)
+	coord.Publish()
 
 	// Fleet metrics are always on (a few gauges per heartbeat); span tracing
 	// only when an export path asks for it, so workers skip span buffering on
 	// plain sweeps.
 	coord.Trace = *spanLog != "" || *spanTrace != ""
-	coord.Fleet = obs.NewFleet()
-	obs.PublishFleet(coord.Fleet)
 	fdir := *flightDir
 	if fdir == "" && *storePath != "" {
 		fdir = *storePath + ".flight"

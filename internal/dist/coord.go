@@ -13,7 +13,6 @@ import (
 
 	"autorfm/internal/obs"
 	"autorfm/internal/sim"
-	"autorfm/internal/telemetry"
 )
 
 // jobState is one job's position in its lifecycle.
@@ -41,9 +40,8 @@ type job struct {
 	done   chan struct{} // closed when state becomes jobDone
 
 	// Observability, populated only when Coordinator.Trace is on.
-	attempts  int // lease grants so far (numbers LeaseResponse.Attempt, 1-based)
-	spans     []obs.Span
-	spansLost int // spans dropped past maxJobSpans
+	attempts int // lease grants so far (numbers LeaseResponse.Attempt, 1-based)
+	spans    []obs.Span
 }
 
 // maxJobSpans bounds one job's lifecycle trace: a handful of phases per
@@ -84,10 +82,6 @@ type Coordinator struct {
 	// including the original (default 2: one steal). Stealing only happens
 	// when the pending queue is empty, i.e. near sweep end.
 	MaxLeasesPerJob int
-	// Status, when non-nil, receives a telemetry.CoordSnapshot after every
-	// state change (publish it with telemetry.PublishCoord to serve the
-	// "autorfm.coord" expvar).
-	Status *telemetry.CoordStatus
 	// Trace enables span tracing: the coordinator records every job's
 	// lifecycle (submit, lease, heartbeat, requeue, steal, upload) and asks
 	// workers, via LeaseResponse.Trace, to record and upload their
@@ -95,12 +89,6 @@ type Coordinator struct {
 	// WriteChromeTrace after Drain. Off by default: recording is bounded
 	// per job but not free.
 	Trace bool
-	// Fleet, when non-nil, aggregates the fleet metrics view — per-worker
-	// gauges from heartbeat piggybacks, per-family latency percentiles from
-	// completions — and powers the stall detector (a lease running past its
-	// family's rolling p99 gets one profile-capture request). Publish it
-	// with obs.PublishFleet; Handler serves it at /metrics either way.
-	Fleet *obs.Fleet
 	// Flights, when non-nil, persists the flight records failed (or
 	// stall-profiled) jobs upload; the ERR footnote then carries the
 	// record's content address as " [flight <id>]".
@@ -113,8 +101,12 @@ type Coordinator struct {
 	queue     []string // pending job keys, FIFO
 	leases    map[uint64]*lease
 	nextLease uint64
-	workers   map[string]time.Time // worker name -> last seen
 	drained   bool
+	// fleet aggregates the fleet metrics view — each worker's last-seen
+	// time and heartbeat gauges, per-family latency percentiles from
+	// completions — and powers the stall detector (a lease running past its
+	// family's rolling p99 gets one profile-capture request).
+	fleet *obs.Fleet
 
 	// counters, guarded by mu
 	storeHits  int
@@ -136,7 +128,7 @@ func NewCoordinator(store *Store) *Coordinator {
 		store:           store,
 		jobs:            make(map[string]*job),
 		leases:          make(map[uint64]*lease),
-		workers:         make(map[string]time.Time),
+		fleet:           obs.NewFleet(),
 		now:             time.Now,
 	}
 }
@@ -182,7 +174,6 @@ func (c *Coordinator) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Resu
 		}
 		js[i] = j
 	}
-	c.publishLocked()
 	c.mu.Unlock()
 
 	for i, j := range js {
@@ -208,8 +199,7 @@ func (c *Coordinator) Lease(worker string) LeaseResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	c.workers[worker] = now
-	c.Fleet.Seen(worker)
+	c.fleet.Seen(worker, now)
 	c.expireLocked(now)
 
 	// Pending work first. Jobs can complete while queued (a stolen
@@ -228,19 +218,16 @@ func (c *Coordinator) Lease(worker string) LeaseResponse {
 	// unless this worker already holds one of its leases.
 	if j := c.stealCandidateLocked(worker); j != nil {
 		c.steals++
-		c.Fleet.Steal()
 		return c.grantLocked(j, worker, now, true)
 	}
 
 	if c.drained && c.allDoneLocked() {
-		// The worker will exit on StatusDone: drop it from the fleet gauge
-		// now, so "no leases and no workers" means everyone has been
+		// The worker will exit on StatusDone: drop it from the live worker
+		// gauge now, so "no leases and no workers" means everyone has been
 		// dismissed and the coordinator itself may shut down.
-		delete(c.workers, worker)
-		c.publishLocked()
+		c.fleet.Dismiss(worker)
 		return LeaseResponse{Status: StatusDone}
 	}
-	c.publishLocked()
 	return LeaseResponse{Status: StatusWait, RetryMS: c.RetryWait.Milliseconds()}
 }
 
@@ -261,7 +248,6 @@ func (c *Coordinator) grantLocked(j *job, worker string, now time.Time, stolen b
 			LeaseID: l.id, StartUS: now.UnixMicro(),
 		})
 	}
-	c.publishLocked()
 	return LeaseResponse{
 		Status:  StatusJob,
 		Key:     j.key,
@@ -310,14 +296,13 @@ func (c *Coordinator) Heartbeat(worker string, leaseID uint64, m *obs.WorkerMetr
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	c.workers[worker] = now
 	c.expireLocked(now)
 	l, ok := c.leases[leaseID]
 	var age time.Duration
 	if ok {
 		age = now.Sub(l.granted)
 	}
-	c.Fleet.Heartbeat(worker, age, m)
+	c.fleet.Heartbeat(worker, now, age, m)
 	if !ok {
 		return HeartbeatResponse{}
 	}
@@ -331,7 +316,7 @@ func (c *Coordinator) Heartbeat(worker string, leaseID uint64, m *obs.WorkerMetr
 		})
 	}
 	resp := HeartbeatResponse{OK: true}
-	if j != nil && !l.profiled && c.Fleet.StallCheck(j.family, age) {
+	if j != nil && !l.profiled && c.fleet.StallCheck(j.family, age) {
 		l.profiled = true
 		resp.Profile = true
 		c.spanLocked(j, obs.Span{
@@ -365,8 +350,7 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
-	c.workers[worker] = now
-	c.Fleet.Seen(worker)
+	c.fleet.Seen(worker, now)
 
 	// Persist the flight record (if any) before anything can short-circuit:
 	// a duplicate upload's forensics are still forensics.
@@ -407,7 +391,6 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 			Name: obs.SpanDuplicate, Worker: worker, Attempt: attempt,
 			LeaseID: leaseID, StartUS: now.UnixMicro(),
 		})
-		c.publishLocked()
 		return ResultResponse{Accepted: true, Duplicate: true}, nil
 	}
 
@@ -415,7 +398,6 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 	// the two must lose the in-memory job, never the durable record.
 	if errStr == "" {
 		if _, err := c.store.Put(key, res); err != nil {
-			c.publishLocked()
 			return ResultResponse{}, err
 		}
 	}
@@ -424,7 +406,6 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 		// this incarnation has not (re)submitted yet. The store retains it;
 		// when the job is submitted, it will be a store hit.
 		c.uploads++
-		c.publishLocked()
 		return ResultResponse{Accepted: true}, nil
 	}
 	if errStr != "" {
@@ -449,7 +430,7 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 		LeaseID: leaseID, StartUS: now.UnixMicro(), Detail: detail,
 	})
 	if latency > 0 {
-		c.Fleet.JobDone(j.family, latency)
+		c.fleet.JobDone(j.family, latency)
 	}
 	// Retire every other live lease on this job (work-steal losers).
 	for id, l := range c.leases {
@@ -460,7 +441,6 @@ func (c *Coordinator) Complete(req ResultRequest) (ResultResponse, error) {
 		}
 	}
 	close(j.done)
-	c.publishLocked()
 	return ResultResponse{Accepted: true}, nil
 }
 
@@ -483,7 +463,6 @@ func (c *Coordinator) spanLocked(j *job, s obs.Span) {
 		return
 	}
 	if len(j.spans) >= maxJobSpans {
-		j.spansLost++
 		return
 	}
 	s.Key = j.key
@@ -563,7 +542,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 			j.state = jobPending
 			c.queue = append(c.queue, j.key)
 			c.requeues++
-			c.Fleet.Requeue()
 			c.spanLocked(j, obs.Span{
 				Name: obs.SpanRequeue, Worker: l.worker, Attempt: l.attempt,
 				LeaseID: l.id, StartUS: now.UnixMicro(),
@@ -578,7 +556,6 @@ func (c *Coordinator) expireLocked(now time.Time) {
 func (c *Coordinator) Drain() {
 	c.mu.Lock()
 	c.drained = true
-	c.publishLocked()
 	c.mu.Unlock()
 }
 
@@ -591,31 +568,50 @@ func (c *Coordinator) allDoneLocked() bool {
 	return true
 }
 
-// Snapshot returns the coordinator's current gauges. Expired leases are
-// collected first, so the lease gauge never counts workers that are gone.
-func (c *Coordinator) Snapshot() telemetry.CoordSnapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked(c.now())
-	return c.snapshotLocked()
+// CoordSnapshot is one point-in-time view of a sweep coordinator, served
+// at /status and as the "autorfm.coord" expvar.
+type CoordSnapshot struct {
+	// Workers is the number of distinct workers seen recently (within a
+	// few lease TTLs) and not yet dismissed — the fabric's live fleet size.
+	Workers int `json:"workers"`
+	// Leases is the number of currently outstanding job leases.
+	Leases int `json:"leases"`
+	// JobsTotal and JobsDone count distinct jobs submitted and completed;
+	// StoreHits is how many of the done jobs were served from the
+	// content-addressed result store without touching a worker.
+	JobsTotal int `json:"jobs_total"`
+	JobsDone  int `json:"jobs_done"`
+	StoreHits int `json:"store_hits"`
+	// Requeues counts leases that expired (crashed or partitioned workers)
+	// and were put back on the queue.
+	Requeues int64 `json:"requeues"`
+	// Steals counts duplicate leases issued for straggling jobs near sweep
+	// end (first uploaded result wins).
+	Steals int64 `json:"steals"`
+	// Uploads and Duplicates count accepted result uploads and uploads
+	// that lost a first-result-wins race (or arrived after a requeue).
+	Uploads    int64 `json:"uploads"`
+	Duplicates int64 `json:"duplicates"`
+	// Drained reports that the sweep is over: workers asking for jobs are
+	// being told to exit.
+	Drained bool `json:"drained"`
 }
 
-func (c *Coordinator) snapshotLocked() telemetry.CoordSnapshot {
-	live := 0
-	horizon := c.now().Add(-3 * c.LeaseTTL)
-	for _, seen := range c.workers {
-		if seen.After(horizon) {
-			live++
-		}
-	}
+// Snapshot returns the coordinator's current gauges. Expired leases are
+// collected first, so the lease gauge never counts workers that are gone.
+func (c *Coordinator) Snapshot() CoordSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.now()
+	c.expireLocked(now)
 	done := 0
 	for _, j := range c.jobs {
 		if j.state == jobDone {
 			done++
 		}
 	}
-	return telemetry.CoordSnapshot{
-		Workers:    live,
+	return CoordSnapshot{
+		Workers:    c.fleet.Live(now.Add(-3 * c.LeaseTTL)),
 		Leases:     len(c.leases),
 		JobsTotal:  len(c.jobs),
 		JobsDone:   done,
@@ -628,15 +624,27 @@ func (c *Coordinator) snapshotLocked() telemetry.CoordSnapshot {
 	}
 }
 
-func (c *Coordinator) publishLocked() {
-	if c.Status != nil {
-		c.Status.Update(c.snapshotLocked())
-	}
+// FleetSnapshot returns the fleet metrics view, with the coordinator's
+// requeue and steal counters.
+func (c *Coordinator) FleetSnapshot() obs.FleetSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	snap := c.fleet.Snapshot(c.now())
+	snap.Requeues, snap.Steals = c.requeues, c.steals
+	return snap
+}
+
+// Publish serves the coordinator's gauges as the expvars "autorfm.coord"
+// (Snapshot) and "autorfm.fleet" (FleetSnapshot), read at scrape time.
+func (c *Coordinator) Publish() {
+	obs.Publish("autorfm.coord", func() any { return c.Snapshot() })
+	obs.Publish("autorfm.fleet", func() any { return c.FleetSnapshot() })
 }
 
 // Handler returns the coordinator's HTTP API: the lease protocol plus
-// /status (a JSON snapshot) and /debug/vars (expvar, including the
-// "autorfm.coord" gauges once PublishCoord has run).
+// /status (a JSON CoordSnapshot), /metrics (the fleet view in Prometheus
+// text) and /debug/vars (expvar, including the "autorfm.coord" and
+// "autorfm.fleet" gauges once Publish has run).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/lease", func(w http.ResponseWriter, r *http.Request) {
@@ -669,9 +677,7 @@ func (c *Coordinator) Handler() http.Handler {
 		writeJSON(w, c.Snapshot())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
-	// Prometheus text-format fleet gauges; an empty exposition when no
-	// Fleet aggregator is wired (obs handles nil).
-	mux.Handle("/metrics", obs.FleetMetricsHandler(c.Fleet))
+	mux.Handle("/metrics", obs.MetricsHandler(func() []obs.Metric { return c.FleetSnapshot().Metrics() }))
 	return mux
 }
 

@@ -17,7 +17,6 @@ import (
 	"autorfm/internal/cpu"
 	"autorfm/internal/runner"
 	"autorfm/internal/sim"
-	"autorfm/internal/telemetry"
 )
 
 // sweepConfigs is a small mixed sweep: two workloads, two seeds, including
@@ -87,7 +86,6 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 
 	c := NewCoordinator(NewMemStore())
-	c.Status = telemetry.NewCoordStatus()
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 

@@ -9,8 +9,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"expvar"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +59,6 @@ func TestSpanTraceEndToEnd(t *testing.T) {
 	}
 	c := NewCoordinator(NewMemStore())
 	c.Trace = true
-	c.Fleet = obs.NewFleet()
 	c.Flights = flights
 	// Fast heartbeats so the trace records some and metrics piggyback.
 	c.LeaseTTL = 300 * time.Millisecond
@@ -228,17 +231,14 @@ func TestLeaseExpirySpans(t *testing.T) {
 // profile-capture request and a stall span.
 func TestStallDetectorRequestsProfile(t *testing.T) {
 	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
 	c := NewCoordinator(NewMemStore())
-	c.now = clock
+	c.now = func() time.Time { return now }
 	c.Trace = true
-	c.Fleet = obs.NewFleet()
-	c.Fleet.SetClock(clock)
 
 	job := cfg(t, "bwaves", nil)
 	family := familyOf(&job)
 	for i := 0; i < obs.MinStallSamples; i++ {
-		c.Fleet.JobDone(family, 10*time.Millisecond)
+		c.fleet.JobDone(family, 10*time.Millisecond)
 	}
 
 	var wg sync.WaitGroup
@@ -268,7 +268,7 @@ func TestStallDetectorRequestsProfile(t *testing.T) {
 	if n := spanNames(c.Spans(), job.Key())[obs.SpanStall]; n != 1 {
 		t.Errorf("stall spans = %d, want 1", n)
 	}
-	snap := c.Fleet.Snapshot()
+	snap := c.FleetSnapshot()
 	if len(snap.Families) != 1 || snap.Families[0].Stalls != 1 {
 		t.Errorf("fleet families %+v, want one family with 1 stall", snap.Families)
 	}
@@ -278,6 +278,112 @@ func TestStallDetectorRequestsProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
+}
+
+// readVar returns the expvar name decoded as a JSON object.
+func readVar(t *testing.T, name string) map[string]any {
+	t.Helper()
+	v := expvar.Get(name)
+	if v == nil {
+		t.Fatalf("expvar %q not published", name)
+	}
+	var m map[string]any
+	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
+		t.Fatalf("expvar %q: %v", name, err)
+	}
+	return m
+}
+
+// TestCoordGaugeWorkersAgeOut is the regression test for the pushed
+// coordinator gauge, which only changed on a state change: a worker
+// silent past the liveness horizon (3× LeaseTTL) must drop out of the
+// autorfm.coord workers count with nothing else happening, while the
+// fleet view keeps listing it.
+func TestCoordGaugeWorkersAgeOut(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := NewCoordinator(NewMemStore())
+	c.now = func() time.Time { return now }
+	c.Publish()
+
+	if r := c.Lease("w1"); r.Status != StatusWait {
+		t.Fatalf("lease on an empty sweep: %+v", r)
+	}
+	if got := readVar(t, "autorfm.coord")["workers"]; got != 1.0 {
+		t.Fatalf("autorfm.coord workers = %v, want 1", got)
+	}
+	now = now.Add(3*c.LeaseTTL + time.Millisecond)
+	if got := readVar(t, "autorfm.coord")["workers"]; got != 0.0 {
+		t.Fatalf("autorfm.coord workers = %v past the liveness horizon, want 0", got)
+	}
+	fleet := readVar(t, "autorfm.fleet")["workers"].([]any)
+	if len(fleet) != 1 || fleet[0].(map[string]any)["last_seen_ms"] != float64((3*c.LeaseTTL+time.Millisecond).Milliseconds()) {
+		t.Fatalf("autorfm.fleet workers = %v, want w1 last seen 3×TTL ago", fleet)
+	}
+}
+
+// keySet returns the sorted keys of a JSON object.
+func keySet(t *testing.T, v any) []string {
+	t.Helper()
+	m, ok := v.(map[string]any)
+	if !ok {
+		t.Fatalf("not a JSON object: %v", v)
+	}
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestMetricsSurfaceKeys pins the JSON keys of the three expvars and of
+// /status against testdata/expvar_keys.json, recorded from the previous
+// push-snapshot implementation: scrapers must keep finding every field.
+func TestMetricsSurfaceKeys(t *testing.T) {
+	var want map[string][]string
+	buf, err := os.ReadFile("testdata/expvar_keys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	now := time.Unix(1000, 0)
+	c := NewCoordinator(NewMemStore())
+	c.now = func() time.Time { return now }
+	c.fleet.Heartbeat("w1", now, 0, &obs.WorkerMetrics{Events: 1, JobsDone: 1, Goroutines: 3, HeapBytes: 4})
+	c.fleet.JobDone("fam", time.Millisecond)
+	c.Publish()
+	pool := runner.New(1)
+	obs.Publish("autorfm.sweep", func() any { return obs.Sweep(pool.Progress()) })
+
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+
+	fleet := readVar(t, "autorfm.fleet")
+	got := map[string][]string{
+		"autorfm.coord":            keySet(t, readVar(t, "autorfm.coord")),
+		"autorfm.sweep":            keySet(t, readVar(t, "autorfm.sweep")),
+		"autorfm.fleet":            keySet(t, fleet),
+		"autorfm.fleet.workers[]":  keySet(t, fleet["workers"].([]any)[0]),
+		"autorfm.fleet.families[]": keySet(t, fleet["families"].([]any)[0]),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("expvar key sets changed:\n got %v\nwant %v", got, want)
+	}
+	if !reflect.DeepEqual(keySet(t, status), want["autorfm.coord"]) {
+		t.Errorf("/status keys %v, want %v", keySet(t, status), want["autorfm.coord"])
+	}
 }
 
 // Legacy protocol shapes, frozen as they were before the observability
@@ -353,7 +459,6 @@ func TestProtocolCompatOldWorkerNewCoordinator(t *testing.T) {
 	}
 	c := NewCoordinator(NewMemStore())
 	c.Trace = true
-	c.Fleet = obs.NewFleet()
 	c.Flights = flights
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()

@@ -5,14 +5,16 @@ import (
 	"autorfm/internal/sim"
 )
 
-// The lease protocol is four JSON-over-HTTP POST endpoints served by the
-// coordinator (stdlib net/http only; no third-party transport):
+// The lease protocol is three JSON-over-HTTP POST endpoints served by the
+// coordinator, next to read-only GET gauges (stdlib net/http only; no
+// third-party transport):
 //
 //	POST /lease      LeaseRequest     -> LeaseResponse
 //	POST /heartbeat  HeartbeatRequest -> HeartbeatResponse
 //	POST /result     ResultRequest    -> ResultResponse
-//	GET  /status                      -> telemetry.CoordSnapshot
-//	GET  /debug/vars                  -> expvar (incl. "autorfm.coord")
+//	GET  /status                      -> CoordSnapshot
+//	GET  /metrics                     -> obs.FleetSnapshot, Prometheus text
+//	GET  /debug/vars                  -> expvar ("autorfm.coord", "autorfm.fleet")
 //
 // Every request carries the worker's self-chosen name (host-pid by
 // convention) for the fleet gauge and the logs; identity is advisory, not

@@ -22,16 +22,19 @@
 //     the failure and persisted content-addressed next to the result
 //     store, so the ERR footnote in a report links to its capture.
 //
-//   - The unified fleet metrics view (fleet.go, prom.go): per-worker and
-//     per-config-family gauges — heartbeat jitter, events/sec, lease age,
-//     p50/p99 job latency — aggregated from heartbeat piggyback payloads,
-//     published as the expvar "autorfm.fleet" and as a Prometheus
-//     text-format /metrics endpoint, plus a stall detector that flags
-//     jobs running past their family's rolling p99 and asks the offending
-//     worker for a pprof capture.
+//   - One metrics model (metrics.go, fleet.go): every live gauge has one
+//     owner — runner.Pool for a local sweep ("autorfm.sweep"), the
+//     dist.Coordinator for the fabric ("autorfm.coord") and its Fleet
+//     ("autorfm.fleet": per-worker heartbeat jitter, events/sec, lease age
+//     and per-config-family p50/p99 job latency) — and every scrape reads
+//     the owner directly: expvars register through Publish, both /metrics
+//     endpoints render through WriteProm. The Fleet also backs a stall
+//     detector that flags jobs running past their family's rolling p99
+//     and asks the offending worker for a pprof capture.
 //
 // The package sits above internal/telemetry (it reuses the command-trace
-// ring and the metrics stream) and below internal/dist (which threads
+// ring, the Chrome trace encoder and the metrics stream) and
+// internal/runner, and below internal/dist (which threads
 // spans and flight records through the lease protocol); telemetry must
 // never import obs.
 package obs

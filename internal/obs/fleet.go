@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,6 +22,9 @@ type WorkerMetrics struct {
 // familyLatencyCap bounds the rolling per-family latency window the
 // percentiles are computed over.
 const familyLatencyCap = 128
+
+// ewmaAlpha weights the newest sample of the smoothed worker gauges.
+const ewmaAlpha = 0.3
 
 // MinStallSamples is how many completed jobs a family needs before its
 // rolling p99 is trusted by the stall detector.
@@ -66,7 +65,8 @@ type FamilyView struct {
 }
 
 // FleetSnapshot is the point-in-time fleet view rendered under the
-// "autorfm.fleet" expvar and the Prometheus /metrics endpoint.
+// "autorfm.fleet" expvar and the Prometheus /metrics endpoint. Requeues and
+// Steals are the coordinator's counters, filled in by its FleetSnapshot.
 type FleetSnapshot struct {
 	Workers  []WorkerView `json:"workers"`
 	Families []FamilyView `json:"families"`
@@ -82,6 +82,7 @@ type workerState struct {
 	leaseAgeMS int64
 	rate       float64 // EWMA events/sec
 	metrics    WorkerMetrics
+	dismissed  bool // told to exit; not live until seen again
 }
 
 type familyState struct {
@@ -117,45 +118,41 @@ func (f *familyState) quantile(q float64) float64 {
 }
 
 // Fleet aggregates per-worker and per-config-family gauges from heartbeat
-// piggyback payloads and coordinator lifecycle events. The coordinator
-// (internal/dist) feeds it; the expvar and Prometheus surfaces read it.
-// Safe for concurrent use.
+// piggyback payloads and job completions. It is the single owner of each
+// worker's last-seen time. A Fleet is a plain value with no lock of its
+// own: the coordinator (internal/dist) holds one and drives it under its
+// mutex with its clock.
 type Fleet struct {
-	mu       sync.Mutex
-	now      func() time.Time
 	workers  map[string]*workerState
 	families map[string]*familyState
-	requeues int64
-	steals   int64
 }
 
 // NewFleet returns an empty aggregator.
 func NewFleet() *Fleet {
-	return &Fleet{
-		now:      time.Now,
-		workers:  map[string]*workerState{},
-		families: map[string]*familyState{},
-	}
+	return &Fleet{workers: map[string]*workerState{}, families: map[string]*familyState{}}
 }
 
-// SetClock installs a test clock.
-func (f *Fleet) SetClock(now func() time.Time) { f.now = now }
+// Seen marks worker as alive at now without a heartbeat payload (lease
+// grants and uploads also prove liveness).
+func (f *Fleet) Seen(worker string, now time.Time) {
+	w := f.worker(worker)
+	w.lastSeen, w.dismissed = now, false
+}
 
-// Heartbeat records one heartbeat from worker: presence, gap jitter, the
-// age of its oldest live lease, and (when the worker is new enough to
-// send one) the piggyback metrics payload.
-func (f *Fleet) Heartbeat(worker string, leaseAge time.Duration, m *WorkerMetrics) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	now := f.now()
-	w := f.workers[worker]
+func (f *Fleet) worker(name string) *workerState {
+	w := f.workers[name]
 	if w == nil {
 		w = &workerState{}
-		f.workers[worker] = w
+		f.workers[name] = w
 	}
+	return w
+}
+
+// Heartbeat records one heartbeat from worker at now: presence, gap
+// jitter, the age of its oldest live lease, and (when the worker is new
+// enough to send one) the piggyback metrics payload.
+func (f *Fleet) Heartbeat(worker string, now time.Time, leaseAge time.Duration, m *WorkerMetrics) {
+	w := f.worker(worker)
 	if !w.lastSeen.IsZero() {
 		gapMS := float64(now.Sub(w.lastSeen)) / float64(time.Millisecond)
 		if w.hasGap {
@@ -163,54 +160,50 @@ func (f *Fleet) Heartbeat(worker string, leaseAge time.Duration, m *WorkerMetric
 			if dev < 0 {
 				dev = -dev
 			}
-			const alpha = 0.3
-			w.jitterMS = (1-alpha)*w.jitterMS + alpha*dev
+			w.jitterMS = (1-ewmaAlpha)*w.jitterMS + ewmaAlpha*dev
 		}
 		if m != nil && gapMS > 0 {
 			inst := float64(m.Events-w.metrics.Events) / (gapMS / 1000)
 			if inst >= 0 {
-				const alpha = 0.3
 				if w.rate == 0 {
 					w.rate = inst
 				} else {
-					w.rate = (1-alpha)*w.rate + alpha*inst
+					w.rate = (1-ewmaAlpha)*w.rate + ewmaAlpha*inst
 				}
 			}
 		}
 		w.prevGapMS = gapMS
 		w.hasGap = true
 	}
-	w.lastSeen = now
+	w.lastSeen, w.dismissed = now, false
 	w.leaseAgeMS = leaseAge.Milliseconds()
 	if m != nil {
 		w.metrics = *m
 	}
 }
 
-// Seen marks worker as alive without a heartbeat payload (lease grants
-// and uploads also prove liveness).
-func (f *Fleet) Seen(worker string) {
-	if f == nil {
-		return
+// Dismiss drops worker from the live count (Live) until it is next seen;
+// it stays in the snapshot.
+func (f *Fleet) Dismiss(worker string) {
+	if w := f.workers[worker]; w != nil {
+		w.dismissed = true
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	w := f.workers[worker]
-	if w == nil {
-		w = &workerState{}
-		f.workers[worker] = w
+}
+
+// Live counts the undismissed workers seen after since.
+func (f *Fleet) Live(since time.Time) int {
+	n := 0
+	for _, w := range f.workers {
+		if !w.dismissed && w.lastSeen.After(since) {
+			n++
+		}
 	}
-	w.lastSeen = f.now()
+	return n
 }
 
 // JobDone records a completed job's end-to-end latency under its config
 // family.
 func (f *Fleet) JobDone(family string, latency time.Duration) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	fs := f.families[family]
 	if fs == nil {
 		fs = &familyState{}
@@ -219,35 +212,11 @@ func (f *Fleet) JobDone(family string, latency time.Duration) {
 	fs.observe(float64(latency) / float64(time.Millisecond))
 }
 
-// Requeue and Steal count fabric-level recovery events.
-func (f *Fleet) Requeue() {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.requeues++
-	f.mu.Unlock()
-}
-
-func (f *Fleet) Steal() {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.steals++
-	f.mu.Unlock()
-}
-
 // StallCheck asks whether a lease of family running for age is a stall:
 // past the family's rolling p99, with at least MinStallSamples completed
 // jobs backing the estimate. When it is, the family's stall counter is
 // bumped and true is returned — the caller fires the profile capture.
 func (f *Fleet) StallCheck(family string, age time.Duration) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	fs := f.families[family]
 	if fs == nil || fs.n < MinStallSamples {
 		return false
@@ -260,16 +229,10 @@ func (f *Fleet) StallCheck(family string, age time.Duration) bool {
 	return true
 }
 
-// Snapshot renders the current fleet view, workers and families sorted by
-// name for deterministic output.
-func (f *Fleet) Snapshot() FleetSnapshot {
-	if f == nil {
-		return FleetSnapshot{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	now := f.now()
-	snap := FleetSnapshot{Requeues: f.requeues, Steals: f.steals}
+// Snapshot renders the fleet view as of now, workers and families sorted
+// by name for deterministic output.
+func (f *Fleet) Snapshot(now time.Time) FleetSnapshot {
+	var snap FleetSnapshot
 	for name, w := range f.workers {
 		snap.Workers = append(snap.Workers, WorkerView{
 			Worker:            name,
@@ -301,31 +264,54 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	return snap
 }
 
-// String renders the snapshot as JSON; Fleet implements expvar.Var.
-func (f *Fleet) String() string {
-	buf, err := json.Marshal(f.Snapshot())
-	if err != nil {
-		return "{}"
+// Metrics renders the snapshot as Prometheus metric families — the body
+// of the coordinator's /metrics endpoint.
+func (s FleetSnapshot) Metrics() []Metric {
+	perWorker := func(name, typ, help string, v func(*WorkerView) float64) Metric {
+		m := Metric{Name: name, Type: typ, Help: help}
+		for i := range s.Workers {
+			m.Samples = append(m.Samples, Sample{label("worker", s.Workers[i].Worker), v(&s.Workers[i])})
+		}
+		return m
 	}
-	return string(buf)
-}
-
-var (
-	fleetOnce sync.Once
-	fleetVar  atomic.Pointer[Fleet]
-)
-
-// PublishFleet exposes fl as the expvar "autorfm.fleet". Like telemetry's
-// PublishSweep/PublishCoord, the name registers once per process (expvar
-// panics on duplicates) and re-points at the latest aggregator.
-func PublishFleet(fl *Fleet) {
-	fleetVar.Store(fl)
-	fleetOnce.Do(func() {
-		expvar.Publish("autorfm.fleet", expvar.Func(func() interface{} {
-			if cur := fleetVar.Load(); cur != nil {
-				return cur.Snapshot()
-			}
-			return FleetSnapshot{}
-		}))
-	})
+	perFamily := func(name, typ, help string, v func(*FamilyView) float64) Metric {
+		m := Metric{Name: name, Type: typ, Help: help}
+		for i := range s.Families {
+			m.Samples = append(m.Samples, Sample{label("family", s.Families[i].Family), v(&s.Families[i])})
+		}
+		return m
+	}
+	latency := Metric{Name: "autorfm_family_latency_ms", Type: "gauge", Help: "Rolling job latency quantiles per config family."}
+	for _, f := range s.Families {
+		l := label("family", f.Family)
+		latency.Samples = append(latency.Samples,
+			Sample{l + `,quantile="0.5"`, float64(f.P50MS)},
+			Sample{l + `,quantile="0.99"`, float64(f.P99MS)})
+	}
+	return []Metric{
+		single("autorfm_fleet_workers", "gauge", "Number of workers the coordinator has seen.", float64(len(s.Workers))),
+		single("autorfm_fleet_requeues_total", "counter", "Leases expired and requeued (crashed or partitioned workers).", float64(s.Requeues)),
+		single("autorfm_fleet_steals_total", "counter", "Duplicate leases issued for straggling jobs.", float64(s.Steals)),
+		perWorker("autorfm_worker_last_seen_ms", "gauge", "Milliseconds since the worker's last heartbeat.",
+			func(w *WorkerView) float64 { return float64(w.LastSeenMS) }),
+		perWorker("autorfm_worker_heartbeat_jitter_ms", "gauge", "Smoothed deviation between successive heartbeat gaps.",
+			func(w *WorkerView) float64 { return w.HeartbeatJitterMS }),
+		perWorker("autorfm_worker_lease_age_ms", "gauge", "Age of the worker's oldest live lease (0 when idle).",
+			func(w *WorkerView) float64 { return float64(w.LeaseAgeMS) }),
+		perWorker("autorfm_worker_events_per_sec", "gauge", "Smoothed simulated-event rate from heartbeat deltas.",
+			func(w *WorkerView) float64 { return w.EventsPerSec }),
+		perWorker("autorfm_worker_events_total", "counter", "Cumulative simulated events on the worker.",
+			func(w *WorkerView) float64 { return float64(w.Events) }),
+		perWorker("autorfm_worker_jobs_done_total", "counter", "Cumulative jobs completed by the worker.",
+			func(w *WorkerView) float64 { return float64(w.JobsDone) }),
+		perWorker("autorfm_worker_goroutines", "gauge", "Goroutines on the worker at its last heartbeat.",
+			func(w *WorkerView) float64 { return float64(w.Goroutines) }),
+		perWorker("autorfm_worker_heap_bytes", "gauge", "Heap bytes in use on the worker at its last heartbeat.",
+			func(w *WorkerView) float64 { return float64(w.HeapBytes) }),
+		perFamily("autorfm_family_jobs_total", "counter", "Jobs completed per config family.",
+			func(f *FamilyView) float64 { return float64(f.Jobs) }),
+		latency,
+		perFamily("autorfm_family_stalls_total", "counter", "Jobs flagged past the family's rolling p99.",
+			func(f *FamilyView) float64 { return float64(f.Stalls) }),
+	}
 }

@@ -83,18 +83,6 @@ type FlightRecord struct {
 	HeapBytes    uint64 `json:"heap_bytes,omitempty"`
 }
 
-// ID returns the record's content address: the first 16 hex digits of the
-// SHA-256 of its canonical JSON. Stable across re-marshalling (Go struct
-// field order is fixed).
-func (f *FlightRecord) ID() string {
-	buf, err := json.Marshal(f)
-	if err != nil {
-		return "invalid"
-	}
-	sum := sha256.Sum256(buf)
-	return hex.EncodeToString(sum[:8])
-}
-
 // RenderCommands converts the tail of a telemetry command-trace ring into
 // the flight record's bounded symbolic form.
 func RenderCommands(tr *telemetry.CommandTrace) ([]FlightCommand, uint64) {

@@ -2,12 +2,20 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"expvar"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"autorfm/internal/runner"
+	"autorfm/internal/sim"
 	"autorfm/internal/telemetry"
+	"autorfm/internal/workload"
 )
 
 func TestSpanBufferRecordAndDrop(t *testing.T) {
@@ -133,6 +141,7 @@ func TestWriteChromeSpansLoadsAsTrace(t *testing.T) {
 	if err := telemetry.ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("chrome span trace invalid: %v", err)
 	}
+	checkGolden(t, "chrome_spans.json", buf.Bytes())
 	out := buf.String()
 	// One track per worker, coordinator on tid 0, workers sorted.
 	for _, want := range []string{`"coordinator"`, `"worker w1"`, `"worker w2"`} {
@@ -266,22 +275,18 @@ func TestCaptureProfile(t *testing.T) {
 func TestFleetAggregation(t *testing.T) {
 	fl := NewFleet()
 	now := time.Unix(1000, 0)
-	fl.SetClock(func() time.Time { return now })
 
 	// Two heartbeats 1s apart with a 5M event delta → 5M events/sec.
-	fl.Heartbeat("w1", 0, &WorkerMetrics{Events: 0, JobsDone: 0})
+	fl.Heartbeat("w1", now, 0, &WorkerMetrics{Events: 0, JobsDone: 0})
 	now = now.Add(time.Second)
-	fl.Heartbeat("w1", 2*time.Second, &WorkerMetrics{Events: 5_000_000, JobsDone: 1, Goroutines: 9, HeapBytes: 1 << 20})
-	fl.Seen("w2")
-	fl.Requeue()
-	fl.Steal()
-	fl.Steal()
+	fl.Heartbeat("w1", now, 2*time.Second, &WorkerMetrics{Events: 5_000_000, JobsDone: 1, Goroutines: 9, HeapBytes: 1 << 20})
+	fl.Seen("w2", now)
 
 	for i := 0; i < 10; i++ {
 		fl.JobDone("tab5/misra", time.Duration(100+i*10)*time.Millisecond)
 	}
 
-	snap := fl.Snapshot()
+	snap := fl.Snapshot(now)
 	if len(snap.Workers) != 2 || snap.Workers[0].Worker != "w1" || snap.Workers[1].Worker != "w2" {
 		t.Fatalf("workers = %+v", snap.Workers)
 	}
@@ -292,15 +297,29 @@ func TestFleetAggregation(t *testing.T) {
 	if w1.LeaseAgeMS != 2000 || w1.Events != 5_000_000 || w1.JobsDone != 1 {
 		t.Fatalf("w1 view = %+v", w1)
 	}
-	if snap.Requeues != 1 || snap.Steals != 2 {
-		t.Fatalf("requeues/steals = %d/%d", snap.Requeues, snap.Steals)
-	}
 	if len(snap.Families) != 1 {
 		t.Fatalf("families = %+v", snap.Families)
 	}
 	fam := snap.Families[0]
 	if fam.Jobs != 10 || fam.P50MS < 100 || fam.P99MS < fam.P50MS {
 		t.Fatalf("family view = %+v", fam)
+	}
+
+	// Liveness: a dismissed worker leaves the live count but not the view,
+	// and rejoins it when seen again.
+	if n := fl.Live(now.Add(-time.Millisecond)); n != 2 {
+		t.Fatalf("Live = %d, want 2", n)
+	}
+	fl.Dismiss("w2")
+	if n := fl.Live(now.Add(-time.Millisecond)); n != 1 || len(fl.Snapshot(now).Workers) != 2 {
+		t.Fatalf("after Dismiss: Live = %d, workers = %+v", n, fl.Snapshot(now).Workers)
+	}
+	if n := fl.Live(now); n != 0 {
+		t.Fatalf("Live past every last-seen = %d, want 0", n)
+	}
+	fl.Seen("w2", now.Add(time.Second))
+	if n := fl.Live(now); n != 1 {
+		t.Fatalf("Live after w2 returns = %d, want 1", n)
 	}
 }
 
@@ -320,7 +339,7 @@ func TestFleetStallCheck(t *testing.T) {
 	if !fl.StallCheck("fam", time.Hour) {
 		t.Fatal("obvious stall not flagged")
 	}
-	if got := fl.Snapshot().Families[0].Stalls; got != 1 {
+	if got := fl.Snapshot(time.Time{}).Families[0].Stalls; got != 1 {
 		t.Fatalf("stall count = %d, want 1", got)
 	}
 	if fl.StallCheck("unknown-family", time.Hour) {
@@ -328,51 +347,93 @@ func TestFleetStallCheck(t *testing.T) {
 	}
 }
 
-func TestFleetNilIsInert(t *testing.T) {
-	var fl *Fleet
-	fl.Heartbeat("w", 0, nil)
-	fl.Seen("w")
-	fl.JobDone("f", time.Second)
-	fl.Requeue()
-	fl.Steal()
-	if fl.StallCheck("f", time.Hour) {
-		t.Fatal("nil fleet flagged a stall")
+// checkGolden compares got with a file recorded from the previous,
+// per-surface renderers: scrapers must see identical bytes.
+func checkGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if snap := fl.Snapshot(); len(snap.Workers) != 0 {
-		t.Fatal("nil fleet snapshot not empty")
+	if !bytes.Equal(got, want) {
+		t.Errorf("output differs from testdata/%s\n got:\n%s\nwant:\n%s", file, got, want)
 	}
 }
 
-func TestWriteFleetProm(t *testing.T) {
-	fl := NewFleet()
-	fl.Heartbeat(`w"1\`, time.Second, &WorkerMetrics{Events: 10})
-	for i := 0; i < 10; i++ {
-		fl.JobDone("tab5/misra", 100*time.Millisecond)
-	}
-	fl.Requeue()
+func promBytes(t *testing.T, ms []Metric) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteFleetProm(&buf, fl.Snapshot()); err != nil {
+	if err := WriteProm(&buf, ms); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE autorfm_fleet_workers gauge",
-		"autorfm_fleet_workers 1",
-		"autorfm_fleet_requeues_total 1",
-		`autorfm_worker_lease_age_ms{worker="w\"1\\"} 1000`,
-		`autorfm_family_latency_ms{family="tab5/misra",quantile="0.99"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prom output missing %q\n%s", want, out)
-		}
+	return buf.Bytes()
+}
+
+// populatedFleet drives a fake-clocked fleet through heartbeats (one
+// worker name needing every label escape), bare sightings, completions
+// in two families and a stall; it returns the snapshot with the
+// coordinator counters filled in as Coordinator.FleetSnapshot does.
+func populatedFleet(t *testing.T) FleetSnapshot {
+	now := time.Unix(1000, 0)
+	fl := NewFleet()
+	fl.Heartbeat(`w"1\`, now, 0, &WorkerMetrics{Events: 0})
+	fl.Seen("w2\nx", now)
+	now = now.Add(1500 * time.Millisecond)
+	fl.Heartbeat(`w"1\`, now, 2*time.Second, &WorkerMetrics{Events: 3_000_000, JobsDone: 2, Goroutines: 9, HeapBytes: 1 << 20})
+	now = now.Add(700 * time.Millisecond)
+	fl.Heartbeat(`w"1\`, now, 2700*time.Millisecond, &WorkerMetrics{Events: 4_000_000, JobsDone: 3, Goroutines: 11, HeapBytes: 2 << 20})
+	fl.Heartbeat("w3", now, 0, nil)
+	for i := 0; i < 12; i++ {
+		fl.JobDone("tab5/misra", time.Duration(100+7*i)*time.Millisecond)
 	}
+	fl.JobDone(`odd"fam`, 40*time.Millisecond)
+	if !fl.StallCheck("tab5/misra", time.Hour) {
+		t.Fatal("stall not flagged")
+	}
+	snap := fl.Snapshot(now.Add(250 * time.Millisecond))
+	snap.Requeues, snap.Steals = 1, 2
+	return snap
+}
+
+// TestWriteFleetProm pins the coordinator's /metrics body byte-for-byte:
+// metric names, HELP/TYPE lines, label escaping and sample order.
+func TestWriteFleetProm(t *testing.T) {
+	checkGolden(t, "fleet_empty.prom", promBytes(t, NewFleet().Snapshot(time.Unix(1000, 0)).Metrics()))
+	checkGolden(t, "fleet_populated.prom", promBytes(t, populatedFleet(t).Metrics()))
+}
+
+func sweepProgress() runner.Progress {
+	return runner.Progress{
+		Done: 3, Total: 10, CacheHits: 1, Failed: 1, Events: 4_000_000,
+		Elapsed: 3 * time.Second, SimElapsed: 2 * time.Second, ETA: 5 * time.Second,
+	}
+}
+
+// TestSweepStatus: the published sweep view derives its rate over the
+// simulation window and keeps its /metrics body byte-for-byte.
+func TestSweepStatus(t *testing.T) {
+	snap := Sweep(sweepProgress())
+	if snap.JobsDone != 3 || snap.JobsTotal != 10 || snap.CacheHits != 1 || snap.Failed != 1 {
+		t.Fatalf("snapshot = %+v", snap)
+	}
+	if snap.EventsPerSec != 2_000_000 {
+		t.Fatalf("events/sec = %v, want 2e6", snap.EventsPerSec)
+	}
+	if snap.ElapsedMS != 3000 || snap.SimElapsedMS != 2000 || snap.ETAMS != 5000 {
+		t.Fatalf("elapsed/sim/eta = %d/%d/%d ms", snap.ElapsedMS, snap.SimElapsedMS, snap.ETAMS)
+	}
+	if Sweep(runner.Progress{Events: 5}).EventsPerSec != 0 {
+		t.Fatal("rate reported before the simulation window opened")
+	}
+	checkGolden(t, "sweep.prom", promBytes(t, snap.Metrics()))
 }
 
 func TestMetricsHandlers(t *testing.T) {
 	fl := NewFleet()
-	fl.Seen("w1")
+	fl.Seen("w1", time.Unix(1000, 0))
 	rr := httptest.NewRecorder()
-	FleetMetricsHandler(fl).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	MetricsHandler(func() []Metric { return fl.Snapshot(time.Unix(1000, 0)).Metrics() }).
+		ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rr.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("fleet /metrics content type %q", ct)
 	}
@@ -380,26 +441,93 @@ func TestMetricsHandlers(t *testing.T) {
 		t.Fatalf("fleet /metrics body:\n%s", rr.Body.String())
 	}
 
-	st := telemetry.NewSweepStatus()
-	st.Update(3, 10, 1, 0, 42, time.Second, time.Second, 2*time.Second)
+	// Each scrape reads the owner afresh.
+	p := sweepProgress()
+	h := MetricsHandler(func() []Metric { return Sweep(p).Metrics() })
 	rr = httptest.NewRecorder()
-	SweepMetricsHandler(st).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	body := rr.Body.String()
-	for _, want := range []string{
-		"autorfm_sweep_jobs_done 3",
-		"autorfm_sweep_jobs_total 10",
-		"autorfm_sweep_events_total 42",
-		"autorfm_sweep_events_per_sec 42",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("sweep /metrics missing %q\n%s", want, body)
-		}
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	checkGolden(t, "sweep.prom", rr.Body.Bytes())
+	p.Done = 4
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+	if !strings.Contains(rr.Body.String(), "autorfm_sweep_jobs_done 4\n") {
+		t.Fatalf("second scrape did not re-read the owner:\n%s", rr.Body.String())
 	}
 }
 
+// readVar returns the expvar name decoded as a JSON object.
+func readVar(t *testing.T, name string) map[string]any {
+	t.Helper()
+	v := expvar.Get(name)
+	if v == nil {
+		t.Fatalf("expvar %q not published", name)
+	}
+	var m map[string]any
+	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
+		t.Fatalf("expvar %q: %v", name, err)
+	}
+	return m
+}
+
+// TestPublishFleet: publishing a name again re-points it (expvar itself
+// panics on duplicates) and every read calls the current function.
 func TestPublishFleet(t *testing.T) {
-	fl := NewFleet()
-	fl.Seen("w1")
-	PublishFleet(fl) // must not panic on repeated calls
-	PublishFleet(fl)
+	first, second := populatedFleet(t), FleetSnapshot{}
+	Publish("autorfm.fleet", func() any { return first })
+	if got := len(readVar(t, "autorfm.fleet")["workers"].([]any)); got != 3 {
+		t.Fatalf("first fleet lists %d workers, want 3", got)
+	}
+	Publish("autorfm.fleet", func() any { return second })
+	if got := readVar(t, "autorfm.fleet")["workers"]; got != nil {
+		t.Fatalf("expvar not re-pointed: workers = %v", got)
+	}
+	second.Steals = 7
+	if got := readVar(t, "autorfm.fleet")["steals"]; got != 7.0 {
+		t.Fatalf("expvar read a stale copy: steals = %v", got)
+	}
+}
+
+// TestSweepGaugeReadsLivePool is the regression test for the pushed sweep
+// gauge, which only changed when a job completed: while the pool's first
+// job is still blocked, the autorfm.sweep view must already count every
+// submitted job and a running clock.
+func TestSweepGaugeReadsLivePool(t *testing.T) {
+	wl, err := workload.ByName("bwaves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []sim.Config
+	for seed := uint64(1); seed <= 3; seed++ {
+		jobs = append(jobs, sim.Config{Workload: wl, InstructionsPerCore: 10_000, Seed: seed})
+	}
+	pool := runner.New(1)
+	started, release := make(chan struct{}, len(jobs)), make(chan struct{})
+	pool.Instrument = func(*sim.Config, string) {
+		started <- struct{}{}
+		<-release
+	}
+	Publish("autorfm.sweep", func() any { return Sweep(pool.Progress()) })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		pool.RunAll(ctx, jobs)
+		close(done)
+	}()
+	<-started
+	deadline := time.Now().Add(10 * time.Second)
+	for readVar(t, "autorfm.sweep")["jobs_total"] != float64(len(jobs)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("autorfm.sweep never counted the %d submitted jobs: %v", len(jobs), readVar(t, "autorfm.sweep"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	v := readVar(t, "autorfm.sweep")
+	if v["jobs_done"] != 0.0 || v["elapsed_ms"].(float64) <= 0 {
+		t.Fatalf("autorfm.sweep while the first job is blocked = %v, want jobs_done 0 and elapsed_ms > 0", v)
+	}
+	cancel()
+	close(release)
+	<-done
 }

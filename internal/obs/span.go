@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"autorfm/internal/telemetry"
 )
 
 // SpanSchema versions the JSON-lines span log. Bump it only with a new
@@ -206,30 +208,11 @@ func ValidateSpanLine(line []byte) error {
 	return nil
 }
 
-// chromeSpanEvent mirrors the Chrome trace-event JSON shape (the same
-// format internal/telemetry's command trace emits, so one validator and
-// one Perfetto workflow serve both).
-type chromeSpanEvent struct {
-	Name string      `json:"name"`
-	Cat  string      `json:"cat,omitempty"`
-	Ph   string      `json:"ph"`
-	TS   float64     `json:"ts"` // microseconds
-	Dur  float64     `json:"dur,omitempty"`
-	PID  int         `json:"pid"`
-	TID  int         `json:"tid"`
-	S    string      `json:"s,omitempty"`
-	Args interface{} `json:"args,omitempty"`
-}
-
 type spanArgs struct {
 	Key     string `json:"key"`
 	Attempt int    `json:"attempt,omitempty"`
 	LeaseID uint64 `json:"lease_id,omitempty"`
 	Detail  string `json:"detail,omitempty"`
-}
-
-type trackArgs struct {
-	Name string `json:"name"`
 }
 
 // WriteChromeSpans renders a merged span set as Chrome trace-event JSON
@@ -258,48 +241,17 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 		}
 	}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(e *chromeSpanEvent) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		buf, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(buf)
-		return err
-	}
-
-	if err := emit(&chromeSpanEvent{
-		Name: "thread_name", Ph: "M", PID: 0, TID: 0,
-		Args: trackArgs{Name: "coordinator"},
-	}); err != nil {
-		return err
-	}
+	cw := telemetry.NewChromeWriter(w, "ms")
+	cw.ThreadName(0, "coordinator")
 	for _, n := range names {
-		if err := emit(&chromeSpanEvent{
-			Name: "thread_name", Ph: "M", PID: 0, TID: workers[n],
-			Args: trackArgs{Name: "worker " + n},
-		}); err != nil {
-			return err
-		}
+		cw.ThreadName(workers[n], "worker "+n)
 	}
-
 	for i := range spans {
 		s := &spans[i]
-		e := chromeSpanEvent{
+		e := telemetry.ChromeEvent{
 			Name: s.Name,
 			Cat:  "job",
 			TS:   float64(s.StartUS - base),
-			PID:  0,
 			TID:  workers[s.Worker], // "" maps to 0, the coordinator track
 			Args: spanArgs{Key: s.Key, Attempt: s.Attempt, LeaseID: s.LeaseID, Detail: s.Detail},
 		}
@@ -310,12 +262,7 @@ func WriteChromeSpans(w io.Writer, spans []Span) error {
 			e.Ph = "X"
 			e.Dur = float64(s.EndUS - s.StartUS)
 		}
-		if err := emit(&e); err != nil {
-			return err
-		}
+		cw.Emit(&e)
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }

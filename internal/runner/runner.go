@@ -56,7 +56,8 @@ func FirstError(errs []error) error {
 }
 
 // Progress is a snapshot of a pool's job accounting, delivered to the
-// OnProgress callback after every job completes.
+// OnProgress callback after every job completes and returned by
+// Pool.Progress at any time.
 type Progress struct {
 	// Done and Total count jobs completed and submitted so far. Cache
 	// hits count as completed jobs (they were asked for and answered).
@@ -380,24 +381,39 @@ func (p *Pool) jobDone(cached, failed bool) {
 	if failed {
 		p.failed++
 	}
-	cb := p.OnProgress
-	if cb != nil {
-		now := p.clock()
-		snap := Progress{
-			Done:      p.done,
-			Total:     p.submitted,
-			CacheHits: p.hits,
-			Failed:    p.failed,
-			Events:    p.events,
-			Elapsed:   now.Sub(p.started),
-		}
-		if !p.simStarted.IsZero() {
-			snap.SimElapsed = now.Sub(p.simStarted)
-		}
-		snap.ETA = estimateETA(p.done, p.hits, p.submitted, snap.SimElapsed)
-		cb(snap)
+	if p.OnProgress != nil {
+		p.OnProgress(p.progressLocked())
 	}
 	p.pmu.Unlock()
+}
+
+// Progress returns the pool's job accounting as of now — the snapshot
+// OnProgress receives, but readable at any time (scrapers call it while
+// jobs are still running).
+func (p *Pool) Progress() Progress {
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	return p.progressLocked()
+}
+
+func (p *Pool) progressLocked() Progress {
+	snap := Progress{
+		Done:      p.done,
+		Total:     p.submitted,
+		CacheHits: p.hits,
+		Failed:    p.failed,
+		Events:    p.events,
+	}
+	if p.started.IsZero() {
+		return snap // nothing submitted yet
+	}
+	now := p.clock()
+	snap.Elapsed = now.Sub(p.started)
+	if !p.simStarted.IsZero() {
+		snap.SimElapsed = now.Sub(p.simStarted)
+	}
+	snap.ETA = estimateETA(p.done, p.hits, p.submitted, snap.SimElapsed)
+	return snap
 }
 
 // estimateETA predicts the remaining wall-clock time of a sweep from the

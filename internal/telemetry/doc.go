@@ -12,10 +12,11 @@
 //     sweep jobs can share one metrics file.
 //   - A bounded DRAM command trace (CommandTrace, trace.go): a fixed ring
 //     of ACT/PRE/RD/WR/REF/RFM/ALERT records exportable as Chrome
-//     trace-event JSON, one track per bank, loadable in Perfetto.
-//   - Live sweep introspection (SweepStatus, http.go): an expvar-published
-//     progress snapshot plus net/http/pprof, served from a single
-//     -http flag on autorfm-bench.
+//     trace-event JSON (through ChromeWriter, which internal/obs's span
+//     trace shares), one track per bank, loadable in Perfetto.
+//   - Live sweep introspection (ServeIntrospection, http.go): expvar and
+//     net/http/pprof served from a single -http flag on autorfm-bench; the
+//     "autorfm.sweep" gauges themselves are published by internal/obs.
 //
 // Everything here is strictly observational. The simulator attaches probes
 // behind nil guards, so with telemetry disabled the PR-3/PR-4 zero-alloc

@@ -1,7 +1,8 @@
 package telemetry
 
-// Live sweep introspection: an expvar-published snapshot of runner progress
-// plus net/http/pprof, both on the stdlib DefaultServeMux, served from one
+// Live sweep introspection: expvar (where internal/obs publishes the
+// "autorfm.sweep" gauges, read from the runner at scrape time) plus
+// net/http/pprof, both on the stdlib DefaultServeMux, served from one
 // -http flag on autorfm-bench. A multi-minute sweep then answers "is it
 // stuck, and where is the time going" without interrupting it:
 //
@@ -10,101 +11,11 @@ package telemetry
 //	curl localhost:6060/debug/pprof/goroutine?debug=1
 
 import (
-	"encoding/json"
-	"expvar"
+	_ "expvar" // registers /debug/vars on DefaultServeMux
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
-	"sync"
-	"sync/atomic"
-	"time"
 )
-
-// SweepSnapshot is one point-in-time view of a running sweep, as rendered
-// under /debug/vars.
-type SweepSnapshot struct {
-	JobsDone  int   `json:"jobs_done"`
-	JobsTotal int   `json:"jobs_total"`
-	CacheHits int   `json:"cache_hits"`
-	Failed    int   `json:"failed"`
-	Events    int64 `json:"events"`
-	// EventsPerSec is events over the simulation window (SimElapsedMS),
-	// not pool lifetime: a resumed sweep's cache/store-hit preload
-	// answers jobs without simulating, and counting that wall time (or
-	// pretending the preloaded events were just computed) skews the rate.
-	EventsPerSec float64 `json:"events_per_sec"`
-	ElapsedMS    int64   `json:"elapsed_ms"`
-	// SimElapsedMS is the time since the first actual simulation started
-	// (0 until one does); see runner.Progress.SimElapsed.
-	SimElapsedMS int64 `json:"sim_elapsed_ms"`
-	ETAMS        int64 `json:"eta_ms"`
-}
-
-// SweepStatus holds the latest SweepSnapshot; the runner's OnProgress
-// callback updates it, the expvar handler reads it. Safe for concurrent use.
-type SweepStatus struct {
-	cur atomic.Pointer[SweepSnapshot]
-}
-
-// NewSweepStatus returns a status holding an empty snapshot.
-func NewSweepStatus() *SweepStatus {
-	s := &SweepStatus{}
-	s.cur.Store(&SweepSnapshot{})
-	return s
-}
-
-// Update publishes a new snapshot, computing the derived rate from events
-// and the simulation window (simElapsed — see runner.Progress.SimElapsed;
-// zero while the sweep is still draining a cache/store-hit preload, which
-// must not count toward throughput).
-func (s *SweepStatus) Update(done, total, cacheHits, failed int, events int64, elapsed, simElapsed, eta time.Duration) {
-	snap := &SweepSnapshot{
-		JobsDone:     done,
-		JobsTotal:    total,
-		CacheHits:    cacheHits,
-		Failed:       failed,
-		Events:       events,
-		ElapsedMS:    elapsed.Milliseconds(),
-		SimElapsedMS: simElapsed.Milliseconds(),
-		ETAMS:        eta.Milliseconds(),
-	}
-	if sec := simElapsed.Seconds(); sec > 0 {
-		snap.EventsPerSec = float64(events) / sec
-	}
-	s.cur.Store(snap)
-}
-
-// Snapshot returns the latest snapshot (never nil).
-func (s *SweepStatus) Snapshot() SweepSnapshot { return *s.cur.Load() }
-
-// String renders the snapshot as JSON; SweepStatus implements expvar.Var.
-func (s *SweepStatus) String() string {
-	buf, err := json.Marshal(s.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(buf)
-}
-
-var (
-	publishOnce  sync.Once
-	publishedVar atomic.Pointer[SweepStatus]
-)
-
-// PublishSweep exposes st as the expvar "autorfm.sweep". expvar panics on a
-// duplicate name, so the name is registered once per process and re-pointed
-// at the most recent status on later calls (tests construct several).
-func PublishSweep(st *SweepStatus) {
-	publishedVar.Store(st)
-	publishOnce.Do(func() {
-		expvar.Publish("autorfm.sweep", expvar.Func(func() interface{} {
-			if cur := publishedVar.Load(); cur != nil {
-				return cur.Snapshot()
-			}
-			return SweepSnapshot{}
-		}))
-	})
-}
 
 // ServeIntrospection binds addr (e.g. ":6060" or "localhost:0") and serves
 // the DefaultServeMux — /debug/vars from expvar and /debug/pprof/* from

@@ -6,10 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"autorfm/internal/clk"
 	"autorfm/internal/stats"
@@ -242,6 +242,15 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 	if err := ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("generated trace fails validation: %v\n%s", err, buf.String())
 	}
+	// The encoder is shared with internal/obs's span trace; its bytes are
+	// pinned so neither writer drifts.
+	golden, err := os.ReadFile("testdata/chrome_trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("trace differs from testdata/chrome_trace.json:\n%s", buf.String())
+	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
@@ -313,82 +322,5 @@ func TestKindAndCauseNames(t *testing.T) {
 	}
 	if got := Cause(200).String(); got != "cause(200)" {
 		t.Errorf("out-of-range cause = %q", got)
-	}
-}
-
-func TestSweepStatus(t *testing.T) {
-	st := NewSweepStatus()
-	if snap := st.Snapshot(); snap.JobsTotal != 0 {
-		t.Fatalf("fresh status = %+v", snap)
-	}
-	st.Update(3, 10, 1, 0, 4_000_000, 3*time.Second, 2*time.Second, 5*time.Second)
-	snap := st.Snapshot()
-	if snap.JobsDone != 3 || snap.JobsTotal != 10 || snap.CacheHits != 1 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap.EventsPerSec != 2_000_000 {
-		t.Fatalf("events/sec = %v, want 2e6", snap.EventsPerSec)
-	}
-	if snap.ElapsedMS != 3000 || snap.SimElapsedMS != 2000 || snap.ETAMS != 5000 {
-		t.Fatalf("elapsed/sim/eta = %d/%d/%d ms", snap.ElapsedMS, snap.SimElapsedMS, snap.ETAMS)
-	}
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(st.String()), &m); err != nil {
-		t.Fatalf("String() is not JSON: %v", err)
-	}
-	if m["jobs_done"].(float64) != 3 {
-		t.Fatalf("String() = %s", st.String())
-	}
-}
-
-// TestPublishSweepRepointable checks that publishing twice does not panic
-// (expvar forbids duplicate names) and that the expvar reads the most
-// recently published status.
-func TestPublishSweepRepointable(t *testing.T) {
-	a, b := NewSweepStatus(), NewSweepStatus()
-	PublishSweep(a)
-	PublishSweep(b)
-	b.Update(7, 9, 0, 0, 0, time.Second, time.Second, 0)
-	if cur := publishedVar.Load(); cur != b {
-		t.Fatal("expvar not repointed to the latest status")
-	}
-	if cur := publishedVar.Load().Snapshot(); cur.JobsDone != 7 {
-		t.Fatalf("published snapshot = %+v", cur)
-	}
-}
-
-// TestCoordStatus: the coordinator gauges round-trip through Update /
-// Snapshot / JSON, and publishing twice repoints instead of panicking.
-func TestCoordStatus(t *testing.T) {
-	st := NewCoordStatus()
-	if snap := st.Snapshot(); snap.JobsTotal != 0 || snap.Requeues != 0 {
-		t.Fatalf("fresh status = %+v", snap)
-	}
-	st.Update(CoordSnapshot{
-		Workers: 2, Leases: 3, JobsTotal: 40, JobsDone: 12, StoreHits: 5,
-		Requeues: 1, Steals: 2, Uploads: 7, Duplicates: 1, Drained: false,
-	})
-	snap := st.Snapshot()
-	if snap.Workers != 2 || snap.Requeues != 1 || snap.Steals != 2 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(st.String()), &m); err != nil {
-		t.Fatalf("String() is not JSON: %v", err)
-	}
-	for _, key := range []string{"workers", "leases", "requeues", "steals", "uploads", "duplicates"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("String() missing %q: %s", key, st.String())
-		}
-	}
-	a, b := NewCoordStatus(), NewCoordStatus()
-	PublishCoord(a)
-	PublishCoord(b)
-	b.Update(CoordSnapshot{JobsDone: 9})
-	if cur := coordVar.Load(); cur != b {
-		t.Fatal("autorfm.coord not repointed to the latest status")
-	}
-	if cur := coordVar.Load().Snapshot(); cur.JobsDone != 9 {
-		t.Fatalf("published snapshot = %+v", cur)
 	}
 }

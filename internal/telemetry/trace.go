@@ -181,9 +181,10 @@ func (t *CommandTrace) Commands() []Command {
 	return out
 }
 
-// chromeEvent is one entry of the Chrome trace-event JSON format
+// ChromeEvent is one entry of the Chrome trace-event JSON format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-type chromeEvent struct {
+// The command trace and internal/obs's span trace both emit it.
+type ChromeEvent struct {
 	Name string      `json:"name"`
 	Cat  string      `json:"cat,omitempty"`
 	Ph   string      `json:"ph"`
@@ -193,6 +194,51 @@ type chromeEvent struct {
 	TID  int         `json:"tid"`
 	S    string      `json:"s,omitempty"` // instant-event scope
 	Args interface{} `json:"args,omitempty"`
+}
+
+// ChromeWriter streams a Chrome trace-event JSON document one event at a
+// time, so a 64Ki-command trace never materialises as one giant in-memory
+// slice of interface values. Like the bufio.Writer beneath it, it latches
+// the first error and returns it from Close.
+type ChromeWriter struct {
+	bw    *bufio.Writer
+	first bool
+	err   error // first encoding error
+}
+
+// NewChromeWriter opens a document whose viewer time unit is displayUnit
+// ("ns" or "ms").
+func NewChromeWriter(w io.Writer, displayUnit string) *ChromeWriter {
+	c := &ChromeWriter{bw: bufio.NewWriter(w), first: true}
+	c.bw.WriteString("{\"displayTimeUnit\":\"" + displayUnit + "\",\"traceEvents\":[\n")
+	return c
+}
+
+// Emit appends one event.
+func (c *ChromeWriter) Emit(e *ChromeEvent) {
+	buf, err := json.Marshal(e)
+	if err != nil && c.err == nil {
+		c.err = err
+	}
+	if !c.first {
+		c.bw.WriteString(",\n")
+	}
+	c.first = false
+	c.bw.Write(buf)
+}
+
+// ThreadName emits the metadata event naming track tid of pid 0.
+func (c *ChromeWriter) ThreadName(tid int, name string) {
+	c.Emit(&ChromeEvent{Name: "thread_name", Ph: "M", TID: tid, Args: nameArgs{Name: name}})
+}
+
+// Close ends the document and flushes it, returning the first error.
+func (c *ChromeWriter) Close() error {
+	c.bw.WriteString("\n]}\n")
+	if err := c.bw.Flush(); err != nil {
+		return err
+	}
+	return c.err
 }
 
 type cmdArgs struct {
@@ -213,40 +259,12 @@ func ticksToUS(t clk.Tick) float64 { return float64(t) / (clk.TicksPerNS * 1000)
 // durations, zero-duration records as instant ("i") markers. The output
 // loads directly in Perfetto or chrome://tracing.
 func (t *CommandTrace) WriteChrome(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	// Streamed by hand so a 64Ki-command trace never materialises as one
-	// giant in-memory slice of interface values.
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(e *chromeEvent) error {
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		// Encoder writes a trailing newline; strip it by encoding to the
-		// buffered writer and trimming is messy — instead marshal directly.
-		buf, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(buf)
-		return err
-	}
-	_ = enc // retained for symmetry; Marshal used per event
-
+	cmds := t.Commands()
+	cw := NewChromeWriter(w, "ns")
 	// Name the tracks: tid = bank index + 1 (tid 0 is the channel track).
 	seen := map[int16]bool{}
-	for i := 0; i < t.n; i++ {
-		j := t.head + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		b := t.buf[j].Bank
+	for i := range cmds {
+		b := cmds[i].Bank
 		if seen[b] {
 			continue
 		}
@@ -255,25 +273,14 @@ func (t *CommandTrace) WriteChrome(w io.Writer) error {
 		if b != ChannelTrack {
 			name = fmt.Sprintf("bank %d", b)
 		}
-		if err := emit(&chromeEvent{
-			Name: "thread_name", Ph: "M", PID: 0, TID: trackID(b),
-			Args: nameArgs{Name: name},
-		}); err != nil {
-			return err
-		}
+		cw.ThreadName(trackID(b), name)
 	}
-
-	for i := 0; i < t.n; i++ {
-		j := t.head + i
-		if j >= len(t.buf) {
-			j -= len(t.buf)
-		}
-		c := &t.buf[j]
-		e := chromeEvent{
+	for i := range cmds {
+		c := &cmds[i]
+		e := ChromeEvent{
 			Name: c.Kind.String(),
 			Cat:  c.Cause.String(),
 			TS:   ticksToUS(c.Tick),
-			PID:  0,
 			TID:  trackID(c.Bank),
 			Args: cmdArgs{Row: c.Row, Cause: c.Cause.String()},
 		}
@@ -284,14 +291,9 @@ func (t *CommandTrace) WriteChrome(w io.Writer) error {
 			e.Ph = "i"
 			e.S = "t"
 		}
-		if err := emit(&e); err != nil {
-			return err
-		}
+		cw.Emit(&e)
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return cw.Close()
 }
 
 // trackID maps a bank to its Chrome tid: the channel track is 0, banks
