@@ -36,7 +36,6 @@
 //	autorfm-bench -exp all -resume run.ckpt    # interrupt, rerun, continue
 //	autorfm-bench -worker http://coord:9190    # lease jobs from a coordinator
 //	autorfm-bench -exp tab5 -report tab5.txt   # deterministic table bytes only
-//	autorfm-bench -exp fault -fault-drop 0.1   # fault-injection study
-//	autorfm-bench -exp fault -faults "drop-mitigation(p=0.1)"  # same, by name
+//	autorfm-bench -exp fault -faults "drop-mitigation(p=0.1)"  # fault-injection study
 //	autorfm-bench -list-plugins                # registered plugin catalog
 package main

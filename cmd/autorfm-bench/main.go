@@ -121,12 +121,8 @@ func run() int {
 		report  = flag.String("report", "", "write the experiment tables to this file (deterministic bytes; compare against autorfm-coord -report)")
 
 		chaos     = flag.Float64("chaos", 0, "chaos probability: each job independently panics with this probability (engine stress test)")
-		faults    = flag.String("faults", "", "fault injector plugin specs, e.g. act-miss(p=0.01),drop-mitigation(p=0.1); composes with the -fault-* flags")
+		faults    = flag.String("faults", "", "fault injector plugin specs, e.g. act-miss(p=0.01),drop-mitigation(p=0.1) (see -list-plugins)")
 		faultSeed = flag.Uint64("fault-seed", 0, "fault-injector seed (default: -seed)")
-		actMiss   = flag.Float64("fault-actmiss", 0, "per-ACT probability the tracker misses the activation")
-		bitFlip   = flag.Float64("fault-bitflip", 0, "per-ACT probability of a single-bit row-address flip in the tracker")
-		dropMit   = flag.Float64("fault-drop", 0, "probability a tracker nomination is dropped before the victim refreshes")
-		delayMit  = flag.Float64("fault-delay", 0, "probability a nomination is deferred one mitigation slot")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
@@ -199,24 +195,15 @@ func run() int {
 		return 1
 	}
 
-	fseed := *faultSeed
-	if fseed == 0 {
-		fseed = *seed
+	fcfg, err := fault.FromSpec(*faults, *faultSeed, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	sc.Fault = fault.Config{
-		Seed:                fseed,
-		ActMissProb:         *actMiss,
-		TrackerBitFlipProb:  *bitFlip,
-		DropMitigationProb:  *dropMit,
-		DelayMitigationProb: *delayMit,
-		ChaosProb:           *chaos,
+	if *chaos != 0 {
+		fcfg.ChaosProb = *chaos
 	}
-	if *faults != "" {
-		if err := fault.ApplySpec(*faults, &sc.Fault); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
+	sc.Fault = fcfg
 	if err := sc.Fault.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

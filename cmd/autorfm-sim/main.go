@@ -51,7 +51,7 @@ func main() {
 		list    = flag.Bool("list", false, "list workloads and exit")
 		listPl  = flag.Bool("list-plugins", false, "list registered trackers, policies and fault injectors and exit")
 		faults  = flag.String("faults", "", "fault injector plugin specs, e.g. act-miss(p=0.01),drop-mitigation(p=0.1)")
-		faultSd = flag.Uint64("fault-seed", 0, "seed for the fault model's randomness (with -faults)")
+		faultSd = flag.Uint64("fault-seed", 0, "seed for the fault model's randomness (default: -seed)")
 		record  = flag.String("record", "", "capture the workload's core-0 access stream to this trace file and exit")
 		recN    = flag.Int("record-n", 1_000_000, "records to capture with -record")
 		replay  = flag.String("replay", "", "replay a recorded trace file on a single core instead of the synthetic workload")
@@ -131,12 +131,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-seeds > 1 is incompatible with -metrics, -trace and -replay")
 		os.Exit(1)
 	}
-	if *faults != "" {
-		if err := fault.ApplySpec(*faults, &scfg.Fault); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		scfg.Fault.Seed = *faultSd
+	if scfg.Fault, err = fault.FromSpec(*faults, *faultSd, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *replay != "" {
 		// Replay runs the user's trace on one core; the workload profile

@@ -6,9 +6,7 @@ import (
 	"autorfm/internal/clk"
 	"autorfm/internal/dram"
 	"autorfm/internal/mapping"
-	"autorfm/internal/mitigation"
 	"autorfm/internal/rng"
-	"autorfm/internal/tracker"
 )
 
 // Pattern yields the i-th row the attacker activates.
@@ -144,35 +142,12 @@ func Run(cfg Config, p Pattern) (Report, error) {
 	if cfg.Blocking {
 		dcfg.Mode = dram.ModeRFM
 	}
-	probe, err := mitigation.ByName(cfg.Policy, rng.New(0))
-	if err != nil {
+	trk := cfg.Tracker
+	if trk == "" {
+		trk = "mint"
+	}
+	if err := dcfg.Resolve(trk, cfg.Policy); err != nil {
 		return Report{}, err
-	}
-	recursive := probe.Recursive()
-	trkSel := cfg.Tracker
-	if trkSel == "" {
-		trkSel = "mint"
-	}
-	buildTrk, err := tracker.FromSpec(trkSel)
-	if err != nil {
-		return Report{}, err
-	}
-	if _, err := buildTrk(tracker.Env{TH: cfg.TH, Recursive: recursive, R: rng.New(0)}); err != nil {
-		return Report{}, err
-	}
-	dcfg.NewPolicy = func(bank int, r *rng.Source) mitigation.Policy {
-		pol, err := mitigation.ByName(cfg.Policy, r)
-		if err != nil {
-			panic(err)
-		}
-		return pol
-	}
-	dcfg.NewTracker = func(bank int, r *rng.Source) tracker.Tracker {
-		trk, err := buildTrk(tracker.Env{Bank: bank, TH: cfg.TH, Recursive: recursive, R: r})
-		if err != nil {
-			panic(err)
-		}
-		return trk
 	}
 
 	bank := dram.NewBank(dcfg, 0)

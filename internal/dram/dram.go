@@ -94,6 +94,53 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// Resolve binds the tracker and policy selectors — plugin specs such as
+// "mint" or "mithril(entries=2048)" — to the per-bank hooks NewTracker and
+// NewPolicy, once per configuration: one parse and registry lookup each,
+// one policy probe to learn Recursive (which a selected tracker receives in
+// its Env), and one tracker probe, so unknown names and bad parameters are
+// errors here rather than at device construction. A hook that is already
+// set stands in for its selector; a policy hook is probed as bank -1 with a
+// throwaway PRNG. Resolve reads c.TH, so set it first.
+func (c *Config) Resolve(trackerSel, policySel string) error {
+	var probe mitigation.Policy
+	if c.NewPolicy != nil {
+		probe = c.NewPolicy(-1, rng.New(0))
+	} else {
+		build, err := mitigation.FromSpec(policySel)
+		if err != nil {
+			return err
+		}
+		if probe, err = build(rng.New(0)); err != nil {
+			return err
+		}
+		c.NewPolicy = func(_ int, r *rng.Source) mitigation.Policy { return must(build(r)) }
+	}
+	if c.NewTracker == nil {
+		build, err := tracker.FromSpec(trackerSel)
+		if err != nil {
+			return err
+		}
+		th, rec := c.TH, probe.Recursive()
+		if _, err := build(tracker.Env{TH: th, Recursive: rec, R: rng.New(0)}); err != nil {
+			return err
+		}
+		c.NewTracker = func(bank int, r *rng.Source) tracker.Tracker {
+			return must(build(tracker.Env{Bank: bank, TH: th, Recursive: rec, R: r}))
+		}
+	}
+	return nil
+}
+
+// must unwraps a per-bank build, which cannot fail once Resolve's probe of
+// the same spec succeeded: factories are pure functions of spec and Env.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // BankStats counts device-side events in one bank.
 type BankStats struct {
 	Acts            uint64 // successful demand activations

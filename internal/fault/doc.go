@@ -26,9 +26,9 @@
 // a whole sweep.
 //
 // Each injector is also registered by name in the package's plugin registry
-// (see registry.go): ApplySpec maps a spec list such as
+// (see registry.go): FromSpec maps a spec list such as
 // "act-miss(p=0.01),drop-mitigation(p=0.1)" onto the Config fields above,
-// which is how the -faults flag of autorfm-sim and autorfm-bench assembles a
-// fault model. Because named injectors write the same keyed Config, a
+// which is how the -faults and -fault-seed flags of autorfm-sim and
+// autorfm-bench assemble a fault model. Because named injectors write the same keyed Config, a
 // registry-selected fault set is byte-identical to one set field by field.
 package fault

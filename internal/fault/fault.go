@@ -145,11 +145,13 @@ func (t *Tracker) SelectForMitigation() tracker.Selection {
 	return sel
 }
 
-// Reset clears the inner tracker and the injector state.
+// Reset clears the inner tracker, the injector state and the injection
+// counters.
 func (t *Tracker) Reset() {
 	t.inner.Reset()
 	t.acts = 0
 	t.delayed = tracker.Selection{}
+	t.Missed, t.Flipped, t.DroppedMits, t.DelayedMits = 0, 0, 0, 0
 }
 
 // OnREF forwards the REF notification when the inner tracker wants it.

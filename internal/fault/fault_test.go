@@ -2,6 +2,8 @@ package fault
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"autorfm/internal/rng"
@@ -172,4 +174,105 @@ func TestChaosPanicsDeterministicMix(t *testing.T) {
 		}
 	}()
 	MaybeChaosPanic(Config{ChaosProb: 1, Seed: 1}, "doomed")
+}
+
+// replayTrace is what a tracker's run over an ACT stream shows from
+// outside: every selection, the final table occupancy, and the injection
+// counters when the tracker is fault-wrapped.
+type replayTrace struct {
+	sels        []tracker.Selection
+	live, budge int
+	spill       int64
+	injected    [4]uint64
+}
+
+// replay drives trk over acts the way a bank does: a mitigation slot every
+// 4 ACTs and a REF every 64.
+func replay(trk tracker.Tracker, acts []uint32) replayTrace {
+	var tr replayTrace
+	for i, row := range acts {
+		trk.OnActivation(row)
+		if i%4 == 3 {
+			tr.sels = append(tr.sels, trk.SelectForMitigation())
+		}
+		if ra, ok := trk.(tracker.REFAware); ok && i%64 == 63 {
+			ra.OnREF()
+		}
+	}
+	inner := trk
+	if ft, ok := trk.(*Tracker); ok {
+		inner = ft.Inner()
+		tr.injected = [4]uint64{ft.Missed, ft.Flipped, ft.DroppedMits, ft.DelayedMits}
+	}
+	if ts, ok := inner.(tracker.TableStats); ok {
+		tr.live, tr.budge, tr.spill = ts.TableStats()
+	}
+	return tr
+}
+
+// TestResetMatchesFresh: every registered tracker, bare and fault-wrapped,
+// replays an ACT stream after Reset — with its PRNGs reseeded first, since
+// construction draws from them — exactly as a freshly built one does: the
+// same selections, table occupancy and injection counters.
+func TestResetMatchesFresh(t *testing.T) {
+	faults := Config{ActMissProb: 0.05, TrackerBitFlipProb: 0.05, DropMitigationProb: 0.1, DelayMitigationProb: 0.1}
+	src := rng.New(7)
+	acts := make([]uint32, 20000)
+	for i := range acts {
+		acts[i] = 1000 + 4*uint32(src.Intn(12))
+	}
+	const seed, faultSeed = 1, 2
+	for _, name := range tracker.Names() {
+		build, err := tracker.FromSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wrap := range []bool{false, true} {
+			r, fr := rng.New(seed), rng.New(faultSeed)
+			newTracker := func() tracker.Tracker {
+				trk, err := build(tracker.Env{TH: 4, R: r})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wrap {
+					return WrapTracker(trk, faults, fr)
+				}
+				return trk
+			}
+			want := replay(newTracker(), acts)
+			if !slices.ContainsFunc(want.sels, func(s tracker.Selection) bool { return s.OK }) {
+				t.Fatalf("%s: the stream never triggers a selection", name)
+			}
+			r, fr = rng.New(seed), rng.New(faultSeed)
+			reused := newTracker()
+			replay(reused, acts)
+			*r, *fr = *rng.New(seed), *rng.New(faultSeed)
+			reused.Reset()
+			if got := replay(reused, acts); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (wrapped %v): replay after Reset differs from a fresh build: injected %v vs %v, table %d/%d/%d vs %d/%d/%d",
+					name, wrap, got.injected, want.injected, got.live, got.budge, got.spill, want.live, want.budge, want.spill)
+			}
+		}
+	}
+}
+
+func TestFromSpec(t *testing.T) {
+	c, err := FromSpec("act-miss(p=0.01), drop-mitigation(p=0.1),chaos(p=0.5)", 0, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Config{Seed: 9, ActMissProb: 0.01, DropMitigationProb: 0.1, ChaosProb: 0.5}
+	if c != want {
+		t.Errorf("FromSpec = %+v, want %+v", c, want)
+	}
+	// An explicit fault seed wins over the simulation seed, with or
+	// without injectors.
+	if c, err := FromSpec("", 3, 9); err != nil || c != (Config{Seed: 3}) {
+		t.Errorf("FromSpec(\"\", 3, 9) = %+v, %v", c, err)
+	}
+	for _, bad := range []string{"act-mis(p=0.1)", "act-miss(p=2)", "act-miss(q=0.1)", "act-miss(p=0.1),"} {
+		if _, err := FromSpec(bad, 0, 1); err == nil {
+			t.Errorf("FromSpec(%q): want an error", bad)
+		}
+	}
 }

@@ -16,7 +16,7 @@ type Injector func(spec *plugin.Spec, c *Config) error
 var registry = plugin.NewRegistry[Injector]("fault injector")
 
 // Register adds a fault injector to the registry under info.Name. Call it
-// from an init function; after that ApplySpec selects it by name.
+// from an init function; after that FromSpec selects it by name.
 func Register(info plugin.Info, f Injector) { registry.Register(info, f) }
 
 // Names returns the registered injector names, sorted.
@@ -27,27 +27,34 @@ func Catalog() plugin.Section {
 	return plugin.Section{Title: "fault injectors", Infos: registry.Infos()}
 }
 
-// ApplySpec parses a comma-separated injector list — e.g.
-// "act-miss(p=0.01),drop-mitigation(p=0.1)" — and applies each named
-// injector's parameters to c. The resulting Config passes Validate when
-// every parameter is in range; Seed is a Config-wide field set separately
-// (it drives all injectors' randomness).
-func ApplySpec(selector string, c *Config) error {
-	specs, err := plugin.ParseSpecs(selector)
-	if err != nil {
-		return fmt.Errorf("fault: %w", err)
+// FromSpec builds the Config a command line selects: the comma-separated
+// injector list specs — e.g. "act-miss(p=0.01),drop-mitigation(p=0.1)",
+// empty for none — applied injector by injector, with Seed set to
+// faultSeed, or to the simulation seed when faultSeed is 0. The -faults and
+// -fault-seed flags of autorfm-bench and autorfm-sim both go through it.
+func FromSpec(specs string, faultSeed, seed uint64) (Config, error) {
+	c := Config{Seed: faultSeed}
+	if c.Seed == 0 {
+		c.Seed = seed
 	}
-	for _, spec := range specs {
+	if specs == "" {
+		return c, nil
+	}
+	list, err := plugin.ParseSpecs(specs)
+	if err != nil {
+		return Config{}, fmt.Errorf("fault: %w", err)
+	}
+	for i := range list {
+		spec := &list[i]
 		f, err := registry.Lookup(spec.Name)
 		if err != nil {
-			return fmt.Errorf("fault: %w", err)
+			return Config{}, fmt.Errorf("fault: %w", err)
 		}
-		s := spec.Clone()
-		if err := f(&s, c); err != nil {
-			return fmt.Errorf("fault injector %q: %w", spec.Name, err)
+		if err := f(spec, &c); err != nil {
+			return Config{}, fmt.Errorf("fault injector %q: %w", spec.Name, err)
 		}
 	}
-	return nil
+	return c, nil
 }
 
 // prob consumes the injector's probability parameter and range-checks it.

@@ -28,7 +28,9 @@ func Catalog() plugin.Section {
 
 // FromSpec resolves a selector — "name" or "name(key=value, ...)" — into a
 // bound constructor. Parse and lookup errors surface here (config time);
-// parameter errors surface on the returned constructor's first call.
+// parameter errors surface on the returned constructor's first call. Like
+// tracker.FromSpec, the constructor rewinds one private copy of the spec
+// before every build and is not safe for concurrent use.
 func FromSpec(selector string) (func(r *rng.Source) (Policy, error), error) {
 	spec, err := plugin.ParseSpec(selector)
 	if err != nil {
@@ -38,29 +40,11 @@ func FromSpec(selector string) (func(r *rng.Source) (Policy, error), error) {
 	if err != nil {
 		return nil, fmt.Errorf("mitigation: %w", err)
 	}
-	// First build: tracked clone, full Finish check. Later builds (one per
-	// bank, every device reset) reuse a single trusted clone with no
-	// consumed-key bookkeeping, so the per-bank rebuild is allocation-free
-	// beyond the policy itself. Not safe for concurrent use; callers
-	// resolve their own builder and drive it from one goroutine.
-	var reuse struct {
-		spec  plugin.Spec
-		ready bool
-	}
 	return func(r *rng.Source) (Policy, error) {
-		sp := &reuse.spec
-		if !reuse.ready {
-			s := spec.Clone()
-			sp = &s
-		}
-		p, err := f(sp, r)
+		spec.Rewind()
+		p, err := f(&spec, r)
 		if err != nil {
 			return nil, fmt.Errorf("mitigation policy %q: %w", spec.Name, err)
-		}
-		if !reuse.ready {
-			reuse.spec = spec.Clone()
-			reuse.spec.Trust()
-			reuse.ready = true
 		}
 		return p, nil
 	}, nil

@@ -32,16 +32,15 @@ type Info struct {
 // Spec is a parsed selector: a plugin name plus its parameter map. The
 // typed getters record the first conversion error and mark keys as
 // consumed; Finish reports that error, or an unknown-parameter error for
-// any key no getter asked for. A Spec is single-use — each build should
-// work on its own copy (see Clone).
+// any key no getter asked for. Each build should start from a spec with
+// nothing consumed: a fresh copy (see Clone) or a rewound one (see Rewind).
 type Spec struct {
 	// Name is the plugin name the spec selects.
 	Name string
 
-	params  map[string]string
-	asked   map[string]bool
-	err     error
-	trusted bool
+	params map[string]string
+	asked  map[string]bool
+	err    error
 }
 
 // ParseSpec parses "name" or "name(key=value, key=value)". Names and keys
@@ -141,14 +140,14 @@ func (s *Spec) Clone() Spec {
 	return Spec{Name: s.Name, params: s.params}
 }
 
-// Trust marks the spec pre-validated: getters stop recording which keys
-// they consumed (skipping the lazily allocated bookkeeping map) and Finish
-// reports only conversion errors, not unknown parameters. A trusted spec is
-// for repeat builds of a selector whose first build already passed the full
-// Finish check — per-bank tracker and policy construction rebuilds the same
-// plugin dozens of times per device reset, and the trusted path makes every
-// rebuild after the first allocation-free.
-func (s *Spec) Trust() { s.trusted = true }
+// Rewind returns the spec to its unconsumed state in place: no keys
+// consumed, no recorded error. It keeps the consumed-key map's storage, so
+// a builder that rewinds one spec before every build runs the full Finish
+// check each time and allocates for the bookkeeping only on the first.
+func (s *Spec) Rewind() {
+	clear(s.asked)
+	s.err = nil
+}
 
 func (s *Spec) fail(err error) {
 	if s.err == nil {
@@ -157,12 +156,10 @@ func (s *Spec) fail(err error) {
 }
 
 func (s *Spec) raw(key string) (string, bool) {
-	if !s.trusted {
-		if s.asked == nil {
-			s.asked = make(map[string]bool)
-		}
-		s.asked[key] = true
+	if s.asked == nil {
+		s.asked = make(map[string]bool)
 	}
+	s.asked[key] = true
 	v, ok := s.params[key]
 	return v, ok
 }
@@ -235,10 +232,7 @@ func (s *Spec) Finish() error {
 	if s.err != nil {
 		return s.err
 	}
-	if s.trusted {
-		return nil
-	}
-	unknown := make([]string, 0, len(s.params))
+	var unknown []string // allocated only on the error path
 	for k := range s.params {
 		if !s.asked[k] {
 			unknown = append(unknown, k)

@@ -210,3 +210,25 @@ func TestFprintCatalog(t *testing.T) {
 		}
 	}
 }
+
+func TestRewindResetsConsumption(t *testing.T) {
+	sp, _ := ParseSpec("x(a=1, b=two)")
+	sp.Int("b", 0)
+	if err := sp.Finish(); err == nil {
+		t.Fatal("Finish: want conversion error for b, got nil")
+	}
+	// Rewound, the spec forgets the error and the consumed keys: a key left
+	// unread is unknown again, and Finish reports the next read's error.
+	sp.Rewind()
+	sp.Int("a", 0)
+	if err := sp.Finish(); err == nil || !strings.Contains(err.Error(), `unknown parameter "b"`) {
+		t.Errorf("Finish after Rewind = %v, want unknown parameter b", err)
+	}
+	sp.Rewind()
+	if a, b := sp.Int("a", 0), sp.Bool("b", false); a != 1 || b {
+		t.Errorf("after Rewind: a=%d b=%v", a, b)
+	}
+	if err := sp.Finish(); err == nil || !strings.Contains(err.Error(), "not a boolean") {
+		t.Errorf("Finish = %v, want the new conversion error", err)
+	}
+}

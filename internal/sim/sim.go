@@ -211,6 +211,8 @@ func appendFloat(b []byte, v float64) []byte {
 // Run never panics on bad input (enforced by FuzzConfigValidate). It runs
 // after fillDefaults, so zero values have already taken their defaults and
 // only genuinely invalid values (negatives, NaNs, unknown names) trip it.
+// The tracker and policy selectors are checked by prepare, which resolves
+// them.
 func (c *Config) validate() error {
 	switch c.Mode {
 	case dram.ModeNone, dram.ModeRFM, dram.ModeAutoRFM, dram.ModePRAC:
@@ -256,37 +258,7 @@ func (c *Config) validate() error {
 	if w.Burst < 0 || w.Burst > 1<<20 {
 		return fmt.Errorf("sim: workload %q burst %d outside [0, 1Mi]", w.Name, w.Burst)
 	}
-	if err := c.Fault.Validate(); err != nil {
-		return err
-	}
-	// Resolve the policy and tracker selectors against their plugin
-	// registries now, with a probe build each, so unknown names, unknown
-	// parameters, and out-of-range parameter values are all config-time
-	// errors with the offending key in the message. Caller-supplied
-	// NewTracker/NewPolicy hooks are exempt, like NewStream: programmatic
-	// construction validates itself. (Unknown mapping names still error in
-	// Run, where the mapper is built.)
-	if c.NewPolicy == nil {
-		build, err := mitigation.FromSpec(c.Policy)
-		if err != nil {
-			return err
-		}
-		if _, err := build(rng.New(0)); err != nil {
-			return err
-		}
-	}
-	if c.NewTracker == nil {
-		build, err := tracker.FromSpec(c.Tracker)
-		if err != nil {
-			return err
-		}
-		// Recursive is irrelevant to parameter validity, so the probe may
-		// run before the policy's recursive flag is known.
-		if _, err := build(tracker.Env{TH: c.TH, R: rng.New(0)}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Fault.Validate()
 }
 
 // Result collects everything a run produced.
@@ -372,30 +344,35 @@ type warmKey struct {
 	size, ways, lineBytes int
 }
 
-// prepared is the seed-independent part of a run's construction: geometry,
-// timing, the telemetry attachment, and the plugin constructors resolved
-// from their registries.
+// prepared is a run's construction resolved ahead of the machine: the
+// device configuration, with its per-bank tracker and policy constructors,
+// and the telemetry attachment.
 type prepared struct {
-	geo        mapping.Geometry
-	timing     clk.Timing
-	trace      *telemetry.CommandTrace
-	metrics    *telemetry.MetricsConfig
-	recursive  bool
-	newPolicy  func(bank int, r *rng.Source) mitigation.Policy
-	newTracker func(bank int, r *rng.Source) tracker.Tracker
+	dev     dram.Config
+	metrics *telemetry.MetricsConfig
 }
 
-// prepare resolves everything about cfg that does not depend on its Seed.
-// cfg must already be filled and validated.
+// prepare resolves everything about cfg the machine needs besides itself.
+// It is the one place a job resolves its tracker and policy selectors, so
+// unknown names, unknown parameters and out-of-range parameter values are
+// config-time errors with the offending key in the message. Caller-supplied
+// NewTracker/NewPolicy hooks stand in for their selectors. (Unknown mapping
+// names still error in start, where the mapper is built.) cfg must already
+// be filled and validated.
 func prepare(cfg *Config) (prepared, error) {
-	pre := prepared{geo: mapping.Default(), timing: clk.DDR5()}
+	pre := prepared{dev: dram.Config{Geo: mapping.Default(), Timing: clk.DDR5(),
+		Mode: cfg.Mode, TH: cfg.TH, PRACETh: cfg.PRACETh, Seed: cfg.Seed,
+		NewTracker: cfg.NewTracker, NewPolicy: cfg.NewPolicy}}
 	if cfg.Mode == dram.ModePRAC {
-		pre.timing = clk.PRAC()
+		pre.dev.Timing = clk.PRAC()
+	}
+	if err := pre.dev.Resolve(cfg.Tracker, cfg.Policy); err != nil {
+		return pre, err
 	}
 	// Resolve the telemetry attachment early: both surfaces are optional and
 	// strictly observational (see the Telemetry field's contract).
 	if cfg.Telemetry != nil {
-		pre.trace = cfg.Telemetry.Trace
+		pre.dev.Trace = cfg.Telemetry.Trace
 		pre.metrics = cfg.Telemetry.Metrics
 		if pre.metrics != nil && pre.metrics.Sink == nil {
 			return pre, fmt.Errorf("sim: telemetry metrics enabled without a sink")
@@ -403,51 +380,8 @@ func prepare(cfg *Config) (prepared, error) {
 		if pre.metrics != nil && pre.metrics.EpochNS < 0 {
 			return pre, fmt.Errorf("sim: negative telemetry epoch %dns", pre.metrics.EpochNS)
 		}
-		if pre.trace != nil {
-			pre.trace.SetTiming(pre.timing)
-		}
-	}
-	// Resolve the policy and tracker plugins. The registry is consulted
-	// exactly once per run: the selected constructors are bound into
-	// dram.Config's per-bank hooks, and the instances they produce are the
-	// same concrete types the per-activation hot path always called — no
-	// registry indirection survives past this point.
-	if cfg.NewPolicy != nil {
-		pre.newPolicy = cfg.NewPolicy
-		pre.recursive = cfg.NewPolicy(-1, rng.New(0)).Recursive()
-	} else {
-		build, err := mitigation.FromSpec(cfg.Policy)
-		if err != nil {
-			return pre, err // unreachable: validate resolved the spec
-		}
-		probe, err := build(rng.New(0))
-		if err != nil {
-			return pre, err
-		}
-		pre.recursive = probe.Recursive()
-		pre.newPolicy = func(bank int, r *rng.Source) mitigation.Policy {
-			p, perr := build(r)
-			if perr != nil {
-				panic(perr) // unreachable: the spec was validated above
-			}
-			return p
-		}
-	}
-	if cfg.NewTracker != nil {
-		pre.newTracker = cfg.NewTracker
-	} else {
-		build, err := tracker.FromSpec(cfg.Tracker)
-		if err != nil {
-			return pre, err // unreachable: validate resolved the spec
-		}
-		th := cfg.TH
-		rec := pre.recursive
-		pre.newTracker = func(bank int, r *rng.Source) tracker.Tracker {
-			t, terr := build(tracker.Env{Bank: bank, TH: th, Recursive: rec, R: r})
-			if terr != nil {
-				panic(terr) // unreachable: the spec was validated above
-			}
-			return t
+		if pre.dev.Trace != nil {
+			pre.dev.Trace.SetTiming(pre.dev.Timing)
 		}
 	}
 	return pre, nil
@@ -480,20 +414,10 @@ type machineRun struct {
 // pre-warm, cores — on the machine, leaving it ready to dispatch. The
 // machine is marked dirty until finish completes.
 func (m *Machine) start(cfg Config, pre *prepared) (*machineRun, error) {
-	mapper, err := mapping.ByName(cfg.Mapping, pre.geo, cfg.Seed^0xa11ce)
+	dcfg := pre.dev
+	mapper, err := mapping.ByName(cfg.Mapping, dcfg.Geo, cfg.Seed^0xa11ce)
 	if err != nil {
 		return nil, err
-	}
-	dcfg := dram.Config{
-		Geo:        pre.geo,
-		Timing:     pre.timing,
-		Mode:       cfg.Mode,
-		TH:         cfg.TH,
-		PRACETh:    cfg.PRACETh,
-		Seed:       cfg.Seed,
-		Trace:      pre.trace,
-		NewPolicy:  pre.newPolicy,
-		NewTracker: pre.newTracker,
 	}
 	if cfg.Fault.Active() {
 		// Interpose the fault injectors between the device and its trackers.
@@ -526,8 +450,8 @@ func (m *Machine) start(cfg Config, pre *prepared) (*machineRun, error) {
 	}
 	q := m.q
 	r := &machineRun{m: m, cfg: cfg}
-	mcCfg := memctrl.Config{Timing: pre.timing, Mapper: mapper, RFMTH: cfg.TH,
-		RAAMaxFactor: cfg.RAAMaxFactor, Trace: pre.trace}
+	mcCfg := memctrl.Config{Timing: dcfg.Timing, Mapper: mapper, RFMTH: cfg.TH,
+		RAAMaxFactor: cfg.RAAMaxFactor, Trace: dcfg.Trace}
 	if cfg.RetryWaitNS > 0 {
 		mcCfg.RetryWait = clk.NS(cfg.RetryWaitNS)
 	}
@@ -546,7 +470,7 @@ func (m *Machine) start(cfg Config, pre *prepared) (*machineRun, error) {
 	// off.
 	if pre.metrics != nil {
 		r.sampler = telemetry.NewEpochSampler(pre.metrics)
-		r.epochPeriod = pre.timing.TREFI
+		r.epochPeriod = dcfg.Timing.TREFI
 		if pre.metrics.EpochNS > 0 {
 			r.epochPeriod = clk.NS(pre.metrics.EpochNS)
 		}
@@ -634,6 +558,10 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
 	}
+	pre, err := prepare(&cfg)
+	if err != nil {
+		return Result{}, err
+	}
 	// Chaos injection happens before any simulation work so induced job
 	// deaths are cheap and deterministic per job identity.
 	if cfg.Fault.ChaosProb > 0 {
@@ -642,10 +570,6 @@ func (m *Machine) RunCtx(ctx context.Context, cfg Config) (Result, error) {
 			id = fmt.Sprintf("stream:%s/%d", cfg.Workload.Name, cfg.Seed)
 		}
 		fault.MaybeChaosPanic(cfg.Fault, id)
-	}
-	pre, err := prepare(&cfg)
-	if err != nil {
-		return Result{}, err
 	}
 	r, err := m.start(cfg, &pre)
 	if err != nil {

@@ -48,9 +48,11 @@ func Catalog() plugin.Section {
 // FromSpec resolves a selector — "name" or "name(key=value, ...)" — into a
 // bound constructor. Parse and lookup errors are reported here, at config
 // time; parameter errors are reported by the returned constructor's first
-// call (sim.Config validation performs a probe build for exactly that
-// reason). The resolution happens once per run, so per-bank construction is
-// a direct factory call with no registry lookup.
+// call (dram.Config.Resolve performs a probe build for exactly that
+// reason). The constructor rewinds one private copy of the parsed spec
+// before every build, so each build runs the full Finish check and, after
+// the first, spends no allocation on it. It is not safe for concurrent use:
+// every caller resolves its own and drives it from one goroutine.
 func FromSpec(selector string) (func(env Env) (Tracker, error), error) {
 	spec, err := plugin.ParseSpec(selector)
 	if err != nil {
@@ -60,31 +62,11 @@ func FromSpec(selector string) (func(env Env) (Tracker, error), error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracker: %w", err)
 	}
-	// The first build works on a tracked clone and runs the full Finish
-	// check (unknown keys, conversion errors). Once it succeeds, later
-	// builds — 31 more banks per device reset, every reset — reuse a single
-	// trusted clone whose getters skip consumed-key bookkeeping, so the
-	// per-bank rebuild is allocation-free. The returned builder is not safe
-	// for concurrent use; every caller resolves its own via FromSpec and
-	// drives it from one goroutine.
-	var reuse struct {
-		spec  plugin.Spec
-		ready bool
-	}
 	return func(env Env) (Tracker, error) {
-		sp := &reuse.spec
-		if !reuse.ready {
-			s := spec.Clone()
-			sp = &s
-		}
-		trk, err := f(sp, env)
+		spec.Rewind()
+		trk, err := f(&spec, env)
 		if err != nil {
 			return nil, fmt.Errorf("tracker %q: %w", spec.Name, err)
-		}
-		if !reuse.ready {
-			reuse.spec = spec.Clone()
-			reuse.spec.Trust()
-			reuse.ready = true
 		}
 		return trk, nil
 	}, nil
