@@ -66,17 +66,16 @@ type mshr struct {
 
 // Cache is a shared, single-ported (contention-free) LLC model.
 //
-// Way state is stored structure-of-arrays: one flat contiguous tag array
-// (16 ways x 8B = two cache lines per set) scanned on every access, with
-// the LRU stamps and dirty bits in parallel arrays touched only on hit or
-// fill. Keeping the scanned bytes minimal and indexable without pointer
-// chasing is worth ~2x on the hit path over the former []way-per-set
-// layout.
+// Way state is stored one contiguous block per set: the set's tags (16
+// ways x 8B, two host cache lines), scanned on every access, followed
+// directly by its way states (LRU stamp and dirty bit), which a hit updates
+// and a fill's victim scan reads. Everything an access or a fill touches is
+// thus four adjacent host lines, not lines in three arrays megabytes apart.
 type Cache struct {
-	cfg     Config
-	tags    []uint64 // line address per way slot, invalidTag when empty
-	lru     []uint64
-	dirty   []bool
+	cfg Config
+	// sets holds 2*ways words per set: the ways' line addresses
+	// (invalidTag when empty), then their states (see wayState).
+	sets    []uint64
 	ways    int
 	setMask uint64
 	mc      *memctrl.Controller
@@ -102,19 +101,46 @@ func New(cfg Config, mc *memctrl.Controller, q *event.Queue) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic("cache: set count must be a power of two")
 	}
-	tags := make([]uint64, numSets*cfg.Ways)
-	for i := range tags {
-		tags[i] = invalidTag
-	}
-	return &Cache{
+	c := &Cache{
 		cfg:     cfg,
-		tags:    tags,
-		lru:     make([]uint64, numSets*cfg.Ways),
-		dirty:   make([]bool, numSets*cfg.Ways),
+		sets:    make([]uint64, 2*numSets*cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(numSets - 1),
 		mc:      mc,
 		q:       q,
+	}
+	c.clearWays()
+	return c
+}
+
+// set returns line's set: its ways' tags and states, the two halves of one
+// contiguous block.
+func (c *Cache) set(line uint64) (tags, state []uint64) {
+	base := 2 * c.ways * int(line&c.setMask)
+	blk := c.sets[base : base+2*c.ways : base+2*c.ways]
+	return blk[:c.ways:c.ways], blk[c.ways:]
+}
+
+// wayState packs a valid way's LRU stamp and dirty bit into one word: the
+// stamp shifted left one bit, dirty in bit 0. Every install and hit takes a
+// fresh stamp from the cache's clock, so no two valid ways share one, and
+// comparing state words orders ways exactly as comparing stamps does. An
+// empty way's state is 0, below every valid way's.
+func wayState(tick uint64, dirty bool) uint64 {
+	if dirty {
+		return tick<<1 | 1
+	}
+	return tick << 1
+}
+
+// clearWays empties every way: invalid tags, zero states.
+func (c *Cache) clearWays() {
+	for s := 0; s < len(c.sets); s += 2 * c.ways {
+		blk := c.sets[s : s+2*c.ways]
+		for i := range blk[:c.ways] {
+			blk[i] = invalidTag
+		}
+		clear(blk[c.ways:])
 	}
 }
 
@@ -191,8 +217,8 @@ func (c *Cache) prefetch(line uint64) {
 
 // lookup reports whether line is present, without touching LRU state.
 func (c *Cache) lookup(line uint64) bool {
-	base := int(line&c.setMask) * c.ways
-	for _, tg := range c.tags[base : base+c.ways] {
+	tags, _ := c.set(line)
+	for _, tg := range tags {
 		if tg == line {
 			return true
 		}
@@ -204,39 +230,34 @@ func (c *Cache) lookup(line uint64) bool {
 // cache to its steady-state occupancy before measurement (short simulation
 // slices would otherwise see no capacity evictions and no writebacks).
 func (c *Cache) Warm(line uint64, dirty bool) {
-	base := int(line&c.setMask) * c.ways
+	tags, state := c.set(line)
 	c.tick++
 	// One pass: stop at the first free way or duplicate (in way order, as
 	// installation always has), tracking the LRU victim for the full-set
 	// case along the way. Warming touches every line slot of the cache, so
 	// this scan is the dominant cost of prewarm.
-	victim := base
-	for i := base; i < base+c.ways; i++ {
-		if tg := c.tags[i]; tg == invalidTag || tg == line {
+	victim := 0
+	for i, tg := range tags {
+		if tg == invalidTag || tg == line {
 			victim = i
 			break
 		}
-		if c.lru[i] < c.lru[victim] {
+		if state[i] < state[victim] {
 			victim = i
 		}
 	}
-	c.tags[victim] = line
-	c.lru[victim] = c.tick
-	c.dirty[victim] = dirty
+	tags[victim] = line
+	state[victim] = wayState(c.tick, dirty)
 }
 
 // Reset empties the cache and rebinds it to mc (typically a freshly built
-// controller on the same event queue), keeping the big SoA arrays and the
+// controller on the same event queue), keeping the way arrays and the
 // MSHR pool so a reused machine starts its next run without reallocating.
 // MSHRs still outstanding when the previous run ended (in-flight prefetch
 // fills cut short by run completion) are reclaimed into the free list —
 // their DRAM requests died with the previous controller.
 func (c *Cache) Reset(mc *memctrl.Controller) {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-		c.lru[i] = 0
-		c.dirty[i] = false
-	}
+	c.clearWays()
 	c.tick = 0
 	c.rebind(mc)
 }
@@ -244,21 +265,14 @@ func (c *Cache) Reset(mc *memctrl.Controller) {
 // Snapshot is a copy of a cache's way state: tags, LRU stamps, dirty bits
 // and the LRU clock. It holds no MSHR, stream-detector or stats state.
 type Snapshot struct {
-	tags  []uint64
-	lru   []uint64
-	dirty []bool
-	tick  uint64
+	sets []uint64
+	tick uint64
 }
 
 // Snapshot copies the cache's way state, for Restore to load back into this
 // or any other cache of the same geometry.
 func (c *Cache) Snapshot() Snapshot {
-	return Snapshot{
-		tags:  append([]uint64(nil), c.tags...),
-		lru:   append([]uint64(nil), c.lru...),
-		dirty: append([]bool(nil), c.dirty...),
-		tick:  c.tick,
-	}
+	return Snapshot{sets: append([]uint64(nil), c.sets...), tick: c.tick}
 }
 
 // Restore loads s into the cache and rebinds it to mc: the way state is
@@ -267,12 +281,10 @@ func (c *Cache) Snapshot() Snapshot {
 // exactly the state Reset followed by the same Warm calls builds. It
 // allocates nothing.
 func (c *Cache) Restore(s Snapshot, mc *memctrl.Controller) {
-	if len(s.tags) != len(c.tags) {
+	if len(s.sets) != len(c.sets) {
 		panic("cache: snapshot size differs from the cache")
 	}
-	copy(c.tags, s.tags)
-	copy(c.lru, s.lru)
-	copy(c.dirty, s.dirty)
+	copy(c.sets, s.sets)
 	c.tick = s.tick
 	c.rebind(mc)
 }
@@ -295,9 +307,11 @@ func (c *Cache) rebind(mc *memctrl.Controller) {
 // full scan intended for tests and warm-up verification, not hot paths.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, tg := range c.tags {
-		if tg != invalidTag {
-			n++
+	for s := 0; s < len(c.sets); s += 2 * c.ways {
+		for _, tg := range c.sets[s : s+c.ways] {
+			if tg != invalidTag {
+				n++
+			}
 		}
 	}
 	return n
@@ -307,15 +321,12 @@ func (c *Cache) Occupancy() int {
 // done is invoked when the data is available (hit latency or DRAM fill);
 // stores may pass nil (they retire from a store buffer).
 func (c *Cache) Access(line uint64, write bool, done func(clk.Tick)) {
-	base := int(line&c.setMask) * c.ways
+	tags, state := c.set(line)
 	c.tick++
-	for i, tg := range c.tags[base : base+c.ways] {
+	for i, tg := range tags {
 		if tg == line {
 			c.Stats.Hits++
-			c.lru[base+i] = c.tick
-			if write {
-				c.dirty[base+i] = true
-			}
+			state[i] = wayState(c.tick, write || state[i]&1 != 0)
 			if done != nil {
 				c.q.After(c.cfg.HitLatency, done)
 			}
@@ -353,25 +364,25 @@ func (c *Cache) fill(m *mshr, now clk.Tick) {
 	line := m.line
 	c.out.del(line)
 
-	base := int(line&c.setMask) * c.ways
-	victim := base
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.tags[i] == invalidTag {
+	tags, state := c.set(line)
+	state = state[:len(tags)]
+	victim := 0
+	for i := 1; i < len(tags); i++ {
+		if tags[i] == invalidTag {
 			victim = i
 			break
 		}
-		if c.lru[i] < c.lru[victim] {
+		if state[i] < state[victim] {
 			victim = i
 		}
 	}
-	if c.tags[victim] != invalidTag && c.dirty[victim] {
+	if tags[victim] != invalidTag && state[victim]&1 != 0 {
 		c.Stats.Writebacks++
-		c.mc.SubmitWrite(c.tags[victim])
+		c.mc.SubmitWrite(tags[victim])
 	}
 	c.tick++
-	c.tags[victim] = line
-	c.lru[victim] = c.tick
-	c.dirty[victim] = m.dirty
+	tags[victim] = line
+	state[victim] = wayState(c.tick, m.dirty)
 
 	for _, w := range m.waiters {
 		if c.cfg.MissExtra > 0 {

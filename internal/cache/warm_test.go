@@ -7,12 +7,11 @@ import (
 	"autorfm/internal/rng"
 )
 
-// warmState captures everything Warm touches, for byte-level comparison.
-func warmState(c *Cache) ([]uint64, []uint64, []bool, uint64) {
-	tags := append([]uint64(nil), c.tags...)
-	lru := append([]uint64(nil), c.lru...)
-	dirty := append([]bool(nil), c.dirty...)
-	return tags, lru, dirty, c.tick
+// warmState captures everything Warm touches, for byte-level comparison:
+// the per-set blocks of tags and way states (LRU stamp and dirty bit) and
+// the LRU clock.
+func warmState(c *Cache) ([]uint64, uint64) {
+	return append([]uint64(nil), c.sets...), c.tick
 }
 
 // TestResetMatchesFresh pins the machine-reuse contract for the cache: a
@@ -26,10 +25,9 @@ func TestResetMatchesFresh(t *testing.T) {
 	used.Reset(mc)
 
 	fresh, _, _ := newRig(t, smallCfg())
-	uTags, uLRU, uDirty, uTick := warmState(used)
-	fTags, fLRU, fDirty, fTick := warmState(fresh)
-	if !reflect.DeepEqual(uTags, fTags) || !reflect.DeepEqual(uLRU, fLRU) ||
-		!reflect.DeepEqual(uDirty, fDirty) || uTick != fTick {
+	uSets, uTick := warmState(used)
+	fSets, fTick := warmState(fresh)
+	if !reflect.DeepEqual(uSets, fSets) || uTick != fTick {
 		t.Fatal("Reset cache arrays differ from a fresh cache")
 	}
 	if used.Stats != (Stats{}) {
@@ -84,10 +82,9 @@ func TestRestoreMatchesWarm(t *testing.T) {
 
 	fresh, _, _ := newRig(t, cfg)
 	warmRandom(fresh, lines, 5)
-	uTags, uLRU, uDirty, uTick := warmState(used)
-	fTags, fLRU, fDirty, fTick := warmState(fresh)
-	if !reflect.DeepEqual(uTags, fTags) || !reflect.DeepEqual(uLRU, fLRU) ||
-		!reflect.DeepEqual(uDirty, fDirty) || uTick != fTick {
+	uSets, uTick := warmState(used)
+	fSets, fTick := warmState(fresh)
+	if !reflect.DeepEqual(uSets, fSets) || uTick != fTick {
 		t.Fatal("Restored cache arrays differ from a freshly warmed cache")
 	}
 	if used.Stats != (Stats{}) {

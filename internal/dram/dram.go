@@ -175,6 +175,7 @@ type Bank struct {
 	trk    tracker.Tracker
 	policy mitigation.Policy
 	r      *rng.Source
+	mitDur clk.Tick // one mitigation's SAUM time, fixed by timing and policy
 
 	// AutoRFM window state.
 	actsInWindow int
@@ -270,6 +271,7 @@ func (b *Bank) buildPipeline(cfg *Config) {
 		trk = tracker.NewMINT(cfg.TH, true, r)
 	}
 	b.trk, b.policy, b.r = trk, pol, r
+	b.mitDur = cfg.Timing.MitigationTime(pol.NumRefreshes())
 	b.actsInWindow, b.pendingMit = 0, false
 	b.saum, b.saumUntil = -1, 0
 	b.aboRow, b.aboPending = 0, false
@@ -382,7 +384,7 @@ func (b *Bank) StartPendingMitigation(prechargeTime clk.Tick) {
 	}
 	b.mitigate(sel)
 	b.saum = b.cfg.Geo.Subarray(sel.Row)
-	dur := b.cfg.Timing.MitigationTime(b.policy.NumRefreshes())
+	dur := b.mitDur
 	b.saumUntil = prechargeTime + dur
 	b.Stats.SAUMBusy += dur
 	if b.cfg.Trace != nil {

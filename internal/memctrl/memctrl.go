@@ -116,14 +116,14 @@ type subchState struct {
 }
 
 // actAllowedAt returns the earliest time an ACT may issue on this
-// subchannel under tRRD and tFAW.
-func (s *subchState) actAllowedAt(tm clk.Timing) clk.Tick {
-	return clk.Max(s.nextAct, s.actRing[s.ringHead]+tm.TFAW)
+// subchannel under tRRD and the four-activation window tFAW.
+func (s *subchState) actAllowedAt(tFAW clk.Tick) clk.Tick {
+	return clk.Max(s.nextAct, s.actRing[s.ringHead]+tFAW)
 }
 
-// recordAct registers an ACT at time t.
-func (s *subchState) recordAct(t clk.Tick, tm clk.Timing) {
-	s.nextAct = t + tm.TRRD
+// recordAct registers an ACT at time t, which blocks the next one for tRRD.
+func (s *subchState) recordAct(t, tRRD clk.Tick) {
+	s.nextAct = t + tRRD
 	s.actRing[s.ringHead] = t
 	s.ringHead = (s.ringHead + 1) % len(s.actRing)
 }
@@ -354,7 +354,7 @@ func (c *Controller) wake(b *bankState, t clk.Tick) {
 func (c *Controller) refresh(now clk.Tick) {
 	c.Stats.REFs++
 	c.refIdx++
-	tm := c.cfg.Timing
+	tm := &c.cfg.Timing
 	if c.cfg.Trace != nil {
 		c.cfg.Trace.Record(now, tm.TRFC, telemetry.KindREF, telemetry.CauseREF, telemetry.ChannelTrack, 0)
 	}
@@ -381,7 +381,7 @@ func (c *Controller) refresh(now clk.Tick) {
 // otherwise issue any pending RFM, otherwise activate for the oldest
 // request.
 func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
-	tm := c.cfg.Timing
+	tm := &c.cfg.Timing
 
 	if b.qn == 0 {
 		// Idle bank: drain accumulated RAA opportunistically so the RFM
@@ -409,7 +409,7 @@ func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
 	// subchannel to have tRRD/tFAW headroom.
 	sub := b.sub
 	t := clk.Max(now, clk.Max(b.nextAct, b.busyUntil))
-	t = clk.Max(t, sub.actAllowedAt(tm))
+	t = clk.Max(t, sub.actAllowedAt(tm.TFAW))
 
 	// Once RAA reaches the RAAmax ceiling, an RFM must precede the next
 	// ACT even with demand waiting.
@@ -443,7 +443,7 @@ func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
 		return
 	}
 	c.Stats.Acts++
-	sub.recordAct(now, tm)
+	sub.recordAct(now, tm.TRRD)
 	b.openRow = int64(req.loc.Row)
 	b.actTime = now
 	b.openUntil = now + tm.TRAS
@@ -472,7 +472,7 @@ func (c *Controller) tryIssue(b *bankState, now clk.Tick) {
 // serveCAS issues the column access for req at casTime, models data-bus
 // occupancy, completes the request, and plans the next scheduling pass.
 func (c *Controller) serveCAS(b *bankState, req *Request, casTime clk.Tick, hit bool) {
-	tm := c.cfg.Timing
+	tm := &c.cfg.Timing
 	sub := b.sub
 	dataStart := clk.Max(casTime+tm.TCL, sub.busFree)
 	sub.busFree = dataStart + tm.TBURST

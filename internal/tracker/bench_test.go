@@ -66,6 +66,35 @@ func BenchmarkMithrilSelect(b *testing.B) {
 	}
 }
 
+// BenchmarkMithrilSelectSpread selects from 1024 entries whose counts are
+// spread over 1..300, a few of them above the ring span, so selections walk
+// the overflow list and then down the count buckets instead of draining a
+// table of ties. The table is rebuilt, untimed, once every entry has been
+// selected.
+func BenchmarkMithrilSelectSpread(b *testing.B) {
+	const entries = 1024
+	m := NewMithril(entries)
+	fill := func() {
+		m.Reset()
+		for row := uint32(0); row < entries; row++ {
+			for k := uint32(0); k <= row*97%300; k++ {
+				m.OnActivation(row)
+			}
+		}
+	}
+	fill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%entries == entries-1 {
+			b.StopTimer()
+			fill()
+			b.StartTimer()
+		}
+		m.SelectForMitigation()
+	}
+}
+
 func BenchmarkGrapheneOnActivationEvict(b *testing.B) {
 	g := NewGraphene(1024, 1<<40)
 	for i := 0; i < 1024; i++ {

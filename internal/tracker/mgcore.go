@@ -28,6 +28,13 @@ package tracker
 // brings them within span (the lazy bound triggers the scan no later than
 // e == mgRingSpan, so none can die unseen). Eviction work is proportional
 // to the number of entries actually evicted, never to the table size.
+//
+// The same count-keyed buckets serve Mithril's selection of the maximum. A
+// ring bucket holds exactly the entries of one count, so with an upper
+// bound on the highest ring-resident count, selection walks down from it
+// to the first non-empty bucket. The overflow list, whose counts all exceed
+// the ring's, is scanned only when it is non-empty, and the reset list only
+// when the ring is empty.
 type mgTable struct {
 	budget int   // logical entry budget (the modelled SRAM table size)
 	spill  int64 // Misra-Gries spillover floor
@@ -46,6 +53,7 @@ type mgTable struct {
 	ovHead    int32             // head of entries with e > span
 	ovMin     int64             // lower bound on the minimum overflow count
 	ovN       int
+	ringMax   int64 // upper bound on the highest ring-resident count
 }
 
 const (
@@ -70,6 +78,7 @@ func (t *mgTable) init(budget int) {
 	t.ovHead = -1
 	t.ovMin = 0
 	t.ovN = 0
+	t.ringMax = 0
 }
 
 // lookup returns the slot of row, or -1.
@@ -86,6 +95,7 @@ func (t *mgTable) link(slot int32) {
 		head = &t.resetHead
 	case e <= mgRingSpan:
 		head = &t.ring[t.counts[slot]&mgRingMask]
+		t.ringMax = max(t.ringMax, t.counts[slot])
 	default:
 		head = &t.ovHead
 		if t.ovN == 0 || t.counts[slot] < t.ovMin {
@@ -212,6 +222,7 @@ func (t *mgTable) migrateOverflow() {
 				t.prev[*b] = slot
 			}
 			*b = slot
+			t.ringMax = max(t.ringMax, t.counts[slot])
 		} else {
 			t.next[slot] = keep
 			t.prev[slot] = -1
@@ -236,15 +247,33 @@ func (t *mgTable) migrateOverflow() {
 // scan (and the former map implementation) resolves to. count is -1 when
 // the table is empty.
 func (t *mgTable) maxEntry() (row uint32, count int64, slot int32) {
-	count, slot = -1, -1
-	for s := range t.counts {
-		c := t.counts[s]
-		if c < 0 {
-			continue
+	switch {
+	case t.ovN > 0:
+		return t.maxIn(t.ovHead)
+	case t.n == 0:
+		return 0, -1, -1
+	}
+	// Ring bucket c holds exactly the entries of count c for c in
+	// (spill, spill+span]. Walk down to the first non-empty one and keep it
+	// as the tightened bound.
+	for c := min(t.ringMax, t.spill+mgRingSpan); c > t.spill; c-- {
+		if head := t.ring[c&mgRingMask]; head >= 0 {
+			t.ringMax = c
+			return t.maxIn(head)
 		}
-		r := t.rows[s]
+	}
+	t.ringMax = t.spill
+	return t.maxIn(t.resetHead)
+}
+
+// maxIn returns the entry of the list at head with the highest count, ties
+// toward the lowest row; count is -1 for an empty list.
+func (t *mgTable) maxIn(head int32) (row uint32, count int64, slot int32) {
+	count, slot = -1, -1
+	for s := head; s >= 0; s = t.next[s] {
+		c, r := t.counts[s], t.rows[s]
 		if c > count || (c == count && r < row) {
-			row, count, slot = r, c, int32(s)
+			row, count, slot = r, c, s
 		}
 	}
 	return row, count, slot

@@ -52,6 +52,27 @@ func (m *refMithril) SelectForMitigation() Selection {
 	return Selection{Row: best, Level: 1, OK: true}
 }
 
+func (m *refMithril) Reset() {
+	clear(m.counts)
+	m.spill = 0
+}
+
+// scanMax is the selection mgTable made before it kept a bound on the
+// highest ring count: a scan of every slot for the highest count, ties to
+// the lowest row. count is -1 when the table is empty.
+func scanMax(t *mgTable) (row uint32, count int64, slot int32) {
+	count, slot = -1, -1
+	for s, c := range t.counts {
+		if c < 0 {
+			continue
+		}
+		if r := t.rows[s]; c > count || (c == count && r < row) {
+			row, count, slot = r, c, int32(s)
+		}
+	}
+	return row, count, slot
+}
+
 type refGraphene struct {
 	entries   int
 	threshold int64
